@@ -197,8 +197,14 @@ def cmd_macro(args):
     eff.write_json(os.path.join(args.out, "effective.json"))
     mesh = macro_mesh(cfg.macro_resolution)
     problem = MacroProblem(mesh, eff, cfg.pnp, cfg.fields.gamma)
-    snapshots, ledger = problem.run(cfg.initial)
-    ledger.to_csv(os.path.join(args.out, "macro_ledger.csv"))
+    ledger_path = os.path.join(args.out, "macro_ledger.csv")
+    try:
+        snapshots, ledger = problem.run(cfg.initial)
+    except MicroRunError as exc:
+        log.error("limit model failed: %s", exc)
+        exc.ledger.to_csv(ledger_path)
+        return 1
+    ledger.to_csv(ledger_path)
     all_ids = np.arange(mesh.n_vertices)
     write_snapshot(os.path.join(args.out, "macro_final.csv"),
                    mesh, all_ids, snapshots[-1])

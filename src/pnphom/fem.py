@@ -229,19 +229,10 @@ class SparseMatrix:
     def row_sums(self):
         return np.asarray(self.csr.sum(axis=1)).ravel()
 
-    def col_sums(self):
-        return np.asarray(self.csr.sum(axis=0)).ravel()
-
     def add(self, other, symmetric=None):
         if symmetric is None:
             symmetric = self.symmetric and other.symmetric
         return SparseMatrix(self.csr + other.csr, symmetric=symmetric)
-
-    def add_diagonal(self, d):
-        return SparseMatrix(self.csr + sp.diags(d), symmetric=self.symmetric)
-
-    def scaled(self, alpha):
-        return SparseMatrix(self.csr * alpha, symmetric=self.symmetric)
 
     def total(self):
         return float(self.csr.sum())
@@ -349,34 +340,6 @@ def assemble_mass(vertices, triangles, lumped=False, coefficient=None,
     rows = np.repeat(triangles, 3, axis=1).ravel()
     cols = np.tile(triangles, (1, 3)).ravel()
     return SparseMatrix.from_coo(rows, cols, local.ravel(), nv, symmetric=True)
-
-
-def assemble_load(vertices, triangles, func, rule=None, nv=None):
-    """Assemble the P1 load vector b_i = int func * hat_i dx.
-
-    func may be a scalar or a callable(points (m,2)) -> (m,) evaluated at
-    the quadrature points of ``rule`` (default triangle-7pt).
-    """
-    triangles = np.asarray(triangles)
-    if triangles.shape[0] == 0:
-        raise AssemblyError("empty region")
-    if rule is None:
-        rule = quadrature("triangle-7pt")
-    if nv is None:
-        nv = vertices.shape[0]
-    pts, wts = map_triangle_quadrature(vertices, triangles, rule)
-    nt, nq = wts.shape
-    if np.isscalar(func):
-        fvals = np.full((nt, nq), float(func))
-    else:
-        fvals = np.asarray(func(pts.reshape(-1, 2)), dtype=float).reshape(nt, nq)
-    xi = rule.points[:, 0]
-    eta = rule.points[:, 1]
-    bas = np.stack([1.0 - xi - eta, xi, eta], axis=1)  # (nq, 3)
-    contrib = np.einsum("tq,qi->ti", wts * fvals, bas)
-    b = np.zeros(nv)
-    np.add.at(b, triangles.ravel(), contrib.ravel())
-    return b
 
 
 def tri_gradient(vertices, triangles, values):
@@ -748,8 +711,3 @@ class P1Interpolator:
             lam = np.array([1.0 - l1 - l2, l1, l2])
             out[i] = float(values[tri].dot(lam))
         return out
-
-
-def p1_interpolate(vertices, triangles, values, points):
-    """One-shot P1 interpolation (builds a locator per call)."""
-    return P1Interpolator(vertices, triangles)(values, points)

@@ -5,37 +5,17 @@ on the full unit square: the time derivative and the charge density carry
 the porosity factor, species diffuse with the cell tensor, the drift is
 coupled through the drift tensor, and the interface nonlinearity collapses
 to a volume zeroth-order term weighted by the averaged surface factor.
-The discretization mirrors the fine solver (P1 elements, backward Euler in
-increment form, Gummel coupling) so that conservation identities hold to
+``MacroProblem`` only assembles these operators (porosity, ``A_hom``,
+``B_hom``, ``theta_eff``, ``s_bar``) and runs the fine solver's transport
+stepper (``micro._Transport``) on them, so conservation identities hold to
 solver precision and trajectories are directly comparable.
 """
 
-import logging
-
 import numpy as np
-import scipy.sparse as sp
 
-from .fem import (
-    ConvergenceFailure,
-    assemble_drift,
-    assemble_mass,
-    assemble_stiffness,
-    bicgstab_solve,
-    cg_solve,
-    newton_solve,
-    tri_gradient,
-)
+from .fem import assemble_mass, assemble_stiffness
 from .geometry import UnitCellSpec, build_template_cell
-from .micro import (
-    ConservationLedger,
-    MicroRunError,
-    MicroState,
-    _LuPrecond,
-)
-
-log = logging.getLogger("pnphom.macro")
-
-MacroState = MicroState
+from .micro import _Transport
 
 
 def macro_mesh(resolution=96):
@@ -45,7 +25,7 @@ def macro_mesh(resolution=96):
     return build_template_cell(spec)
 
 
-class MacroProblem:
+class MacroProblem(_Transport):
     """Assembled limit model for one coefficient set.
 
     Parameters
@@ -57,186 +37,28 @@ class MacroProblem:
     """
 
     def __init__(self, mesh, eff, params, gamma):
-        params.validate()
         self.mesh = mesh
         self.eff = eff
-        self.params = params
-        self.gamma = gamma
+        self.omega = None
         v = mesh.vertices
         t = mesh.triangles
-        self.vertices = v
-        self.triangles = t
-        self.nv = v.shape[0]
+        self.M_charge = assemble_mass(v, t)
+        mass_vec = self.M_charge.row_sums()
+        self._setup(params, gamma, v, t, np.arange(v.shape[0]),
+                    eff.theta * mass_vec,
+                    assemble_stiffness(v, t, coefficient=eff.A_hom),
+                    np.asarray(eff.B_hom),
+                    assemble_stiffness(v, t, coefficient=eff.theta_eff),
+                    (eff.s_bar, mass_vec))
 
-        self.A_spec = assemble_stiffness(v, t, coefficient=eff.A_hom)
-        self.A_pot = assemble_stiffness(v, t, coefficient=eff.theta_eff)
-        M_cons = assemble_mass(v, t)
-        self.M_charge = M_cons
-        self.mass_vec = M_cons.row_sums()
-
-        theta = eff.theta
-        dtm = sp.diags(theta * self.mass_vec / params.dt).tocsr()
-        self._np_base = {
-            +1: dtm + params.D_plus * self.A_spec.csr,
-            -1: dtm + params.D_minus * self.A_spec.csr,
-        }
-        self._np_prec = {s: _LuPrecond(m) for s, m in self._np_base.items()}
-
-        self._poisson_direct = None
-        self._poisson_prec = None
-        if eff.s_bar > 0.0 and gamma.kind == "linear":
-            system = (self.A_pot.csr
-                      + sp.diags(eff.s_bar * gamma.alpha * self.mass_vec))
-            self._poisson_direct = _LuPrecond(system)
-        else:
-            slope = gamma.derivative(0.0) if eff.s_bar > 0.0 else 0.0
-            system = self.A_pot.csr + sp.diags(
-                eff.s_bar * slope * self.mass_vec
-                + 1e-8 * self.A_pot.diagonal().max()
-                * (eff.s_bar == 0.0) * np.ones(self.nv))
-            self._poisson_prec = _LuPrecond(system)
-        self._delta_prev = {+1: None, -1: None}
-
-    # -- functionals ---------------------------------------------------
-
-    def mass(self, conc):
-        """Porosity-weighted integral of a concentration field."""
-        return self.eff.theta * float(self.mass_vec.dot(conc))
+    # bound in the class body so that profilers walking vars(MacroProblem),
+    # such as bench/tracer.py, time it under this class
+    run = _Transport.run
 
     def charge_rhs(self, state):
         p = self.params
         q = (p.z_plus * state.conc_plus - p.z_minus * state.conc_minus)
         return self.eff.theta * p.F_const * self.M_charge.matvec(q)
-
-    def pi_macro(self, state):
-        """Volume surface functional, negated: -s_bar * int gamma(potential)."""
-        return -self.eff.s_bar * float(
-            self.mass_vec.dot(self.gamma(state.potential)))
-
-    def min_concentration(self, state):
-        return float(min(state.conc_plus.min(), state.conc_minus.min()))
-
-    def ledger_row(self, ledger, state, iters):
-        ledger.add(state.t, self.mass(state.conc_plus),
-                   self.mass(state.conc_minus), self.pi_macro(state),
-                   self.min_concentration(state), iters)
-
-    # -- solves ----------------------------------------------------------
-
-    def initial_condition(self, spec):
-        vals = []
-        for entry in spec:
-            if np.isscalar(entry):
-                v = np.full(self.nv, float(entry))
-            else:
-                v = np.asarray(entry(self.vertices), dtype=float)
-                if v.shape != (self.nv,):
-                    raise ValueError("initial data shape mismatch")
-            if v.min() < -1e-12:
-                raise ValueError("negative initial concentration %.3e"
-                                 % v.min())
-            vals.append(np.maximum(v, 0.0))
-        state = MacroState(0.0, vals[0], vals[1], np.zeros(self.nv), None)
-        self.solve_poisson(state)
-        return state
-
-    def solve_poisson(self, state):
-        b = self.charge_rhs(state)
-        if self._poisson_direct is not None:
-            state.potential = self._poisson_direct(b)
-            return state
-        A = self.A_pot
-        s_bar = self.eff.s_bar
-        if s_bar == 0.0:
-            sol = cg_solve(A, b, tol=self.params.linear_tol, deflate=True,
-                           precond=self._poisson_prec, max_iter=5000)
-            state.potential = sol.x
-            return state
-        gamma = self.gamma
-        vec = s_bar * self.mass_vec
-
-        def residual(u):
-            return A.matvec(u) + vec * gamma(u) - b
-
-        def solve_linearized(u, F):
-            J = A.csr + sp.diags(vec * gamma.derivative(u))
-            res = cg_solve(J, F, tol=self.params.linear_tol,
-                           precond=self._poisson_prec, max_iter=5000)
-            return res.x
-
-        result = newton_solve(residual, solve_linearized, state.potential,
-                              tol=1e-12, max_iter=25)
-        state.potential = result.x
-        return state
-
-    def _drift_matrix(self, sign, gradU):
-        p = self.params
-        D = p.D_plus if sign > 0 else p.D_minus
-        z = p.z_plus if sign > 0 else p.z_minus
-        velocity = gradU.dot(np.asarray(self.eff.B_hom).T)
-        K = assemble_drift(self.vertices, self.triangles, velocity,
-                           nv=self.nv)
-        return (sign * D * p.c * z) * K.csr
-
-    def step_nernst_planck(self, state):
-        p = self.params
-        prev = {+1: state.conc_plus.copy(), -1: state.conc_minus.copy()}
-        u_old = {+1: state.conc_plus, -1: state.conc_minus}
-        for it in range(1, p.gummel_max + 1):
-            gradU = tri_gradient(self.vertices, self.triangles,
-                                 state.potential)
-            new = {}
-            for sign in (+1, -1):
-                D = p.D_plus if sign > 0 else p.D_minus
-                Kd = self._drift_matrix(sign, gradU)
-                B = self._np_base[sign] + Kd
-                rhs = -(D * self.A_spec.csr.dot(u_old[sign])
-                        + Kd.dot(u_old[sign]))
-                res = bicgstab_solve(B, rhs, tol=p.linear_tol,
-                                     precond=self._np_prec[sign],
-                                     x0=self._delta_prev[sign],
-                                     max_iter=2000)
-                self._delta_prev[sign] = res.x.copy()
-                new[sign] = u_old[sign] + res.x
-            state.conc_plus = new[+1]
-            state.conc_minus = new[-1]
-            self.solve_poisson(state)
-            change = 0.0
-            for sign in (+1, -1):
-                scale = max(float(np.abs(new[sign]).max()), 1.0)
-                change = max(change, float(
-                    np.abs(new[sign] - prev[sign]).max()) / scale)
-            if change < p.gummel_tol:
-                state.t += p.dt
-                return it
-            prev = {s: new[s].copy() for s in new}
-        raise ConvergenceFailure(
-            "Gummel coupling stalled: change %.3e after %d iterations"
-            % (change, p.gummel_max), change, p.gummel_max, None)
-
-    def run(self, initial_spec):
-        """Run to t_final; returns (snapshots, ledger) like the fine solver."""
-        p = self.params
-        state = (initial_spec if isinstance(initial_spec, MacroState)
-                 else self.initial_condition(initial_spec))
-        n_steps = p.n_steps()
-        n_out = max(1, min(p.n_outputs, n_steps)) if n_steps else 0
-        out_idx = sorted(set(int(round(k * n_steps / n_out))
-                             for k in range(n_out + 1))) if n_steps else [0]
-        ledger = ConservationLedger()
-        snapshots = [state.copy()]
-        self.ledger_row(ledger, state, 0)
-        for step in range(1, n_steps + 1):
-            try:
-                iters = self.step_nernst_planck(state)
-            except ConvergenceFailure as exc:
-                raise MicroRunError(
-                    "macro step %d failed: %s" % (step, exc), ledger,
-                    snapshots)
-            self.ledger_row(ledger, state, iters)
-            if step in out_idx:
-                snapshots.append(state.copy())
-        return snapshots, ledger
 
 
 def solve_macro(eff, params, mesh, initial_spec, gamma):

@@ -48,15 +48,6 @@ class SweepReport:
     def aggregate_rows(self):
         return [r for r in self.rows if r["omega_index"] < 0]
 
-    def mean_errors(self, column):
-        """eps-ordered array of the aggregate values of one error column."""
-        aggs = self.aggregate_rows()
-        return np.array([r[column] for r in aggs], dtype=float)
-
-    def eps_values(self):
-        return np.array([r["eps"] for r in self.aggregate_rows()],
-                        dtype=float)
-
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write(",".join(COLUMNS) + "\n")

@@ -120,6 +120,21 @@ def test_macro_command(small_cfg, tmp_path, capsys):
     assert "equilibrium residual" in capsys.readouterr().out
 
 
+def test_macro_command_reports_stall(tmp_path):
+    # one Gummel iteration cannot settle the coupling: the limit run fails
+    # at step 1, which must be logged with its partial ledger, not raised
+    cfg = dict(SMALL, pnp=dict(SMALL["pnp"], gummel_max=1))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "macro")
+    rc = run_cli(["macro", "--config", str(path), "--out", out])
+    assert rc == 1
+    lines = open(os.path.join(out, "macro_ledger.csv")).read().splitlines()
+    assert lines[0] == "t,mass_plus,mass_minus,pi_eps,min_conc,gummel_iters"
+    assert len(lines) == 2  # the t = 0 row only
+    assert "macro_final.csv" not in os.listdir(out)
+
+
 def test_sweep_command(small_cfg, tmp_path, capsys):
     out = str(tmp_path / "sweep")
     rc = run_cli(["sweep", "--config", small_cfg, "--out", out,
