@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config, write_config
-from .effective import compute_effective
+from .effective import OmegaGridError, compute_effective
 from .geometry import build_template_cell, dump_mesh, tile_domain
 from .macro import MacroProblem, equilibrium_residual, macro_mesh
 from .micro import MicroProblem, MicroRunError, write_snapshot
@@ -216,8 +216,14 @@ def cmd_macro(args):
 
 def cmd_sweep(args):
     cfg = _prepare(args)
-    report, timings = run_sweep(cfg, threads=max(1, args.threads),
-                                deterministic=args.deterministic)
+    try:
+        report, timings = run_sweep(cfg, threads=max(1, args.threads),
+                                    deterministic=args.deterministic)
+    except MicroRunError as exc:
+        # fine-run failures are reported per row; this one is the limit model
+        log.error("limit model failed: %s", exc)
+        exc.ledger.to_csv(os.path.join(args.out, "macro_ledger.csv"))
+        return 1
     report.write_csv(os.path.join(args.out, "sweep_report.csv"))
     emit_plotdata(report, args.out)
     write_summary(report, cfg,
@@ -253,7 +259,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return HANDLERS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OmegaGridError) as exc:
         parser.exit(2, "config error: %s\n" % exc)
 
 

@@ -76,31 +76,40 @@ def _projector(rep):
     """Boolean prolongation matrix P with u_global = P @ u_condensed."""
     masters, cond = np.unique(rep, return_inverse=True)
     nv = rep.shape[0]
-    P = sp.csr_matrix((np.ones(nv), (np.arange(nv), cond)),
-                      shape=(nv, masters.shape[0]))
-    return P, masters
+    return sp.csr_matrix((np.ones(nv), (np.arange(nv), cond)),
+                         shape=(nv, masters.shape[0]))
 
 
-def _periodic_solve(A_csr, b, weights, rep):
-    """Solve A u = -b on the periodically identified mesh, weighted mean zero.
+class _PeriodicOperator:
+    """A on the periodically identified mesh, factored once.
 
     The constant nullspace is removed with a bordered (Lagrange) system so
-    the sparse LU factorization stays deterministic and exact.  Returns the
-    expanded solution on all vertices and the relative residual of the
-    condensed equation.
+    the sparse LU factorization stays deterministic and exact.  rep is the
+    periodic representative map, weights the mean-zero weight vector.
     """
-    P, _ = _projector(rep)
-    Ac = (P.T @ A_csr @ P).tocsr()
-    bc = P.T @ b
-    wc = P.T @ weights
-    bordered = sp.bmat([[Ac, wc[:, None]], [wc[None, :], None]],
-                       format="csc")
-    lu = spla.splu(bordered)
-    x = lu.solve(np.concatenate([-bc, [0.0]]))
-    uc = x[:-1]
-    resid = np.linalg.norm(Ac.dot(uc) + bc)
-    scale = max(np.linalg.norm(bc), 1.0)
-    return P.dot(uc), resid / scale
+
+    def __init__(self, A_csr, weights, rep):
+        self.rep = rep
+        self.weights = weights
+        self.P = _projector(rep)
+        self.Ac = (self.P.T @ A_csr @ self.P).tocsr()
+        wc = self.P.T @ weights
+        bordered = sp.bmat([[self.Ac, wc[:, None]], [wc[None, :], None]],
+                           format="csc")
+        self.lu = spla.splu(bordered)
+
+    def solve(self, b):
+        """Solve A u = -b with weighted mean zero.
+
+        Returns the expanded solution on all vertices and the relative
+        residual of the condensed equation.
+        """
+        bc = self.P.T @ b
+        x = self.lu.solve(np.concatenate([-bc, [0.0]]))
+        uc = x[:-1]
+        resid = np.linalg.norm(self.Ac.dot(uc) + bc)
+        scale = max(np.linalg.norm(bc), 1.0)
+        return self.P.dot(uc), resid / scale
 
 
 def _check_residual(kind, residual):
@@ -109,15 +118,20 @@ def _check_residual(kind, residual):
                              % (kind, residual, RESIDUAL_GATE), residual)
 
 
-def _gradient_load(grads, areas_or_csum, direction):
-    """Vector b with b_i = sum_T (int_T a) grad(phi_i) . e_direction."""
-    return grads[:, :, direction] * areas_or_csum[:, None]
-
-
 def _scatter(contrib, triangles, nv):
     b = np.zeros(nv)
     np.add.at(b, np.asarray(triangles).ravel(), contrib.ravel())
     return b
+
+
+def _unit_drives(n_tris):
+    """Per-triangle drive fields e_0 and e_1."""
+    drives = []
+    for k in range(2):
+        drive = np.zeros((n_tris, 2))
+        drive[:, k] = 1.0
+        drives.append(drive)
+    return drives
 
 
 class CellProblemSolution:
@@ -125,19 +139,20 @@ class CellProblemSolution:
 
     Attributes
     ----------
-    kind : str, one of 'species-y', 'dielectric-y', 'dielectric-omega',
-        'drift-y'
+    kind : str, one of 'species-y', 'dielectric-y', 'drift-y'
     vertices, triangles : the (sub)mesh the correctors live on
     vertex_ids : global template vertex ids (None when the full mesh is used)
     correctors : list of two vertex arrays, one per unit direction
     residuals : list of two relative residuals
     coefficient : per-triangle integral of the driving coefficient
-    rep : periodic representative map on the local vertex set
-    weights : the mean-zero weight vector (lumped measure of the region)
+    operator : the factored periodic cell operator the correctors solve;
+        its rep is the periodic representative map on the local vertex
+        set, its weights the mean-zero weight vector (lumped measure of
+        the region)
     """
 
     def __init__(self, kind, vertices, triangles, vertex_ids, correctors,
-                 residuals, coefficient, rep, weights):
+                 residuals, coefficient, operator):
         self.kind = kind
         self.vertices = vertices
         self.triangles = triangles
@@ -145,24 +160,62 @@ class CellProblemSolution:
         self.correctors = correctors
         self.residuals = residuals
         self.coefficient = coefficient
-        self.rep = rep
-        self.weights = weights
+        self.operator = operator
 
     def corrector_gradients(self, k):
         return tri_gradient(self.vertices, self.triangles,
                             self.correctors[k])
 
     def periodicity_defect(self):
-        worst = 0.0
-        for u in self.correctors:
-            worst = max(worst, float(np.abs(u - u[self.rep]).max()))
-        return worst
+        rep = self.operator.rep
+        return max(float(np.abs(u - u[rep]).max()) for u in self.correctors)
 
     def mean_defect(self):
-        worst = 0.0
-        for u in self.correctors:
-            worst = max(worst, abs(float(self.weights.dot(u))))
-        return worst
+        weights = self.operator.weights
+        return max(abs(float(weights.dot(u))) for u in self.correctors)
+
+
+def _solve_directions(kind, operator, vertices, triangles, grads, csum,
+                      drives):
+    """Solve the corrector problem once per drive field.
+
+    The load of drive d is b_i = sum_T (int_T a) grad(phi_i) . d; returns
+    the correctors, their residuals and the fluxes d + grad u.
+    """
+    nv = vertices.shape[0]
+    correctors, residuals, fluxes = [], [], []
+    for drive in drives:
+        contrib = np.einsum("tid,td->ti", grads, drive) * csum[:, None]
+        u, resid = operator.solve(_scatter(contrib, triangles, nv))
+        _check_residual(kind, resid)
+        correctors.append(u)
+        residuals.append(resid)
+        fluxes.append(drive + tri_gradient(vertices, triangles, u))
+    return correctors, residuals, fluxes
+
+
+def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
+                csum=None):
+    """Unit-direction correctors of div(a (e_k + grad u)) = 0 on a cell.
+
+    csum is the per-triangle integral of a (the area when None, a = 1);
+    the mean-zero weights are the lumped area of the (sub)mesh.  Returns
+    the solution, which keeps the factored operator, and the energy tensor.
+    """
+    nv = vertices.shape[0]
+    areas, grads = tri_geometry(vertices, triangles)
+    if csum is None:
+        csum = areas
+    A = _assemble_p1_stiffness_from_csum(triangles, grads, csum, nv)
+    weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
+                       triangles, nv)
+    operator = _PeriodicOperator(A, weights, _periodic_rep(nv, pair_arrays))
+    correctors, residuals, fluxes = _solve_directions(
+        kind, operator, vertices, triangles, grads, csum,
+        _unit_drives(triangles.shape[0]))
+    sol = CellProblemSolution(kind + "-y", vertices, triangles, vertex_ids,
+                              correctors, residuals, csum, operator)
+    return sol, _energy_tensor(csum, fluxes, fluxes)
 
 
 def _fluid_subcell(template):
@@ -195,14 +248,13 @@ def _require_connected(triangles, nv):
                              % n_comp)
 
 
-def _energy_tensor(areas_or_csum, flux_fields):
-    """T[j][k] = sum_T (int_T a) * F_j . F_k for per-triangle fields."""
+def _energy_tensor(areas_or_csum, left, right):
+    """T[j][k] = sum_T (int_T a) * L_j . R_k for per-triangle fields."""
     T = np.empty((2, 2))
     for j in range(2):
         for k in range(2):
             T[j, k] = float(np.sum(areas_or_csum
-                                   * np.sum(flux_fields[j] * flux_fields[k],
-                                            axis=1)))
+                                   * np.sum(left[j] * right[k], axis=1)))
     return T
 
 
@@ -228,40 +280,20 @@ def solve_species_cell(template):
     (CellProblemSolution, (2, 2) array)
     """
     verts, tris, vertex_ids, pair_arrays = _fluid_subcell(template)
-    nv = verts.shape[0]
-    _require_connected(tris, nv)
-    areas, grads = tri_geometry(verts, tris)
-    A = _assemble_p1_stiffness_from_csum(tris, grads, areas, nv)
-    weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
-                       tris, nv)
-    rep = _periodic_rep(nv, pair_arrays)
-
-    correctors, residuals, fluxes = [], [], []
-    for k in range(2):
-        b = _scatter(_gradient_load(grads, areas, k), tris, nv)
-        u, resid = _periodic_solve(A, b, weights, rep)
-        _check_residual("species", resid)
-        correctors.append(u)
-        residuals.append(resid)
-        flux = tri_gradient(verts, tris, u)
-        flux[:, k] += 1.0
-        fluxes.append(flux)
-    A_hom = _energy_tensor(areas, fluxes)
-    sol = CellProblemSolution("species-y", verts, tris, vertex_ids,
-                              correctors, residuals, areas, rep, weights)
-    return sol, A_hom
+    _require_connected(tris, verts.shape[0])
+    return _solve_cell("species", verts, tris, vertex_ids, pair_arrays)
 
 
 def solve_drift_cell(template, species_solution, w_gradients=None):
     """Solve the coupled drift correctors and form the drift tensor.
 
     The corrector for direction k solves the same fluid-phase periodic
-    problem as the species corrector, but driven by e_k + grad w_k where
-    w_k is the fast-stage dielectric corrector (w = 0 when the dielectric
-    coefficient has no fast variation, in which case the problem and hence
-    the tensor coincide with the species ones exactly).  w_gradients is
-    indexed like the full template triangle list; only its fluid rows are
-    used.
+    problem as the species corrector, with the same factored operator, but
+    driven by e_k + grad w_k where w_k is the fast-stage dielectric
+    corrector (w = 0 when the dielectric coefficient has no fast
+    variation, in which case the problem and hence the tensor coincide
+    with the species ones exactly).  w_gradients is indexed like the full
+    template triangle list; only its fluid rows are used.
 
     Returns
     -------
@@ -269,39 +301,21 @@ def solve_drift_cell(template, species_solution, w_gradients=None):
     """
     verts = species_solution.vertices
     tris = species_solution.triangles
-    nv = verts.shape[0]
     areas, grads = tri_geometry(verts, tris)
-    A = _assemble_p1_stiffness_from_csum(tris, grads, areas, nv)
-    rep = species_solution.rep
-    weights = species_solution.weights
-
+    units = drives = _unit_drives(tris.shape[0])
     if w_gradients is not None:
         fluid_mask = template.tri_phase == FLUID
-    correctors, residuals, fluxes = [], [], []
-    for k in range(2):
-        drive = np.zeros((tris.shape[0], 2))
-        drive[:, k] = 1.0
-        if w_gradients is not None:
-            drive = drive + np.asarray(w_gradients[k])[fluid_mask]
-        contrib = np.einsum("tid,td->ti", grads, drive) * areas[:, None]
-        b = _scatter(contrib, tris, nv)
-        u, resid = _periodic_solve(A, b, weights, rep)
-        _check_residual("drift", resid)
-        correctors.append(u)
-        residuals.append(resid)
-        fluxes.append(drive + tri_gradient(verts, tris, u))
-    species_flux = [species_solution.corrector_gradients(j) for j in range(2)]
-    for j in range(2):
-        species_flux[j][:, j] += 1.0
-    B_hom = np.empty((2, 2))
-    for j in range(2):
-        for k in range(2):
-            B_hom[j, k] = float(np.sum(
-                areas * np.sum(species_flux[j] * fluxes[k], axis=1)))
+        drives = [e + np.asarray(g)[fluid_mask]
+                  for e, g in zip(units, w_gradients)]
+    operator = species_solution.operator
+    correctors, residuals, fluxes = _solve_directions(
+        "drift", operator, verts, tris, grads, areas, drives)
+    species_flux = [e + species_solution.corrector_gradients(j)
+                    for j, e in enumerate(units)]
     sol = CellProblemSolution("drift-y", verts, tris,
                               species_solution.vertex_ids, correctors,
-                              residuals, areas, rep, weights)
-    return sol, B_hom
+                              residuals, areas, operator)
+    return sol, _energy_tensor(areas, species_flux, fluxes)
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +349,9 @@ def solve_dielectric_single(template, rho_f, rho_s, omega):
     evaluated at the given omega, and returns the corrector solution and
     the frozen-sample tensor.
     """
-    verts = template.vertices
-    tris = template.triangles
-    nv = verts.shape[0]
-    areas, grads = tri_geometry(verts, tris)
     csum = _phase_tri_integrals(template, rho_f, rho_s, omega)
-    A = _assemble_p1_stiffness_from_csum(tris, grads, csum, nv)
-    weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
-                       tris, nv)
-    pair_arrays = list(template.periodic_pairs().values())
-    rep = _periodic_rep(nv, pair_arrays)
-
-    correctors, residuals, fluxes = [], [], []
-    for k in range(2):
-        b = _scatter(_gradient_load(grads, csum, k), tris, nv)
-        u, resid = _periodic_solve(A, b, weights, rep)
-        _check_residual("dielectric", resid)
-        correctors.append(u)
-        residuals.append(resid)
-        flux = tri_gradient(verts, tris, u)
-        flux[:, k] += 1.0
-        fluxes.append(flux)
-    theta_star = _energy_tensor(csum, fluxes)
-    sol = CellProblemSolution("dielectric-y", verts, tris, None, correctors,
-                              residuals, csum, rep, weights)
-    return sol, theta_star
+    return _solve_cell("dielectric", template.vertices, template.triangles,
+                       None, list(template.periodic_pairs().values()), csum)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +419,7 @@ def q1_periodic_solve(tensor_grid):
     cols = np.tile(conn, (1, 4)).ravel()
     A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(K2, K2)).tocsr()
 
-    weights = np.full(K2, h * h)
-    rep = np.arange(K2)
+    operator = _PeriodicOperator(A, np.full(K2, h * h), np.arange(K2))
     SG = G.sum(axis=0)
 
     correctors = np.zeros((2, K2))
@@ -438,7 +429,7 @@ def q1_periodic_solve(tensor_grid):
         be = 0.25 * h * np.einsum("ad,nd->na", SG, flat[:, :, k])
         b = np.zeros(K2)
         np.add.at(b, conn.ravel(), be.ravel())
-        u, resid = _periodic_solve(A, b, weights, rep)
+        u, resid = operator.solve(b)
         _check_residual("sample-stage", resid)
         correctors[k] = u
         residuals.append(resid)
@@ -517,7 +508,10 @@ class DielectricResult:
 
     mode is 'constant-y' (no fast variation, stage 1 exact), 'frozen-omega'
     (no sample variation, one stage-1 solve), or 'general' (one stage-1
-    solve per grid element).
+    solve per grid element).  w_gradients is the sample mean over the
+    stage-1 solves of the per-triangle corrector gradients [grad w_0,
+    grad w_1] on the full template (the one sample's gradients in
+    frozen-omega mode, None in constant-y mode, where w = 0).
     """
 
     def __init__(self, mode, K, theta_star, theta_eff, stage2_correctors,
@@ -574,12 +568,18 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
         mode = "general"
         log.info("dielectric stage 1: %d cell solves on a %dx%d grid",
                  K * K, K, K)
+        w_gradients = [np.zeros((template.triangles.shape[0], 2))
+                       for _ in range(2)]
+        # the drift tensor is linear in e_k + grad w_k: the mean suffices
         for i in range(K):
             for j in range(K):
                 sol, tensor = solve_dielectric_single(
                     template, rho_f, rho_s, centers[i, j])
                 theta_star[i, j] = tensor
                 stage1_resid = max(stage1_resid, max(sol.residuals))
+                for k in range(2):
+                    w_gradients[k] += sol.corrector_gradients(k)
+        w_gradients = [g / (K * K) for g in w_gradients]
         solves = K * K
 
     correctors, theta_eff, stage2_resid = q1_periodic_solve(theta_star)
@@ -660,29 +660,8 @@ def compute_effective(template, fields, K=32):
     species_sol, A_hom = solve_species_cell(template)
     diel = solve_dielectric_cells(fields.rho_f, fields.rho_s, template, K=K)
 
-    if diel.mode in ("constant-y", "frozen-omega"):
-        drift_sol, B_hom = solve_drift_cell(template, species_sol,
-                                            diel.w_gradients)
-        drift_resid = max(drift_sol.residuals)
-    else:
-        # with both fast and sample variation the drift corrector depends
-        # on the sample; average its tensor over the same grid as stage 1
-        log.info("drift stage: averaging over %d sample cells",
-                 diel.K * diel.K)
-        centers = omega_grid_centers(diel.K)
-        B_hom = np.zeros((2, 2))
-        drift_resid = 0.0
-        for i in range(diel.K):
-            for j in range(diel.K):
-                w_sol, _ = solve_dielectric_single(
-                    template, fields.rho_f, fields.rho_s, centers[i, j])
-                grads_w = [w_sol.corrector_gradients(k) for k in range(2)]
-                dsol, tensor = solve_drift_cell(template, species_sol,
-                                                grads_w)
-                B_hom += tensor
-                drift_resid = max(drift_resid, max(dsol.residuals))
-        B_hom /= diel.K * diel.K
-
+    drift_sol, B_hom = solve_drift_cell(template, species_sol,
+                                        diel.w_gradients)
     s_bar = surface_factor(template, fields.eta)
     spec = template.spec
     provenance = {
@@ -695,7 +674,8 @@ def compute_effective(template, fields, K=32):
         "stage1_solves": int(diel.stage1_solves),
         "residual_max": max(max(species_sol.residuals),
                             diel.stage1_residual_max,
-                            max(diel.stage2_residuals), drift_resid),
+                            max(diel.stage2_residuals),
+                            max(drift_sol.residuals)),
         "interface_length": template.interface_length,
     }
     return EffectiveCoefficients(template.porosity, A_hom, B_hom,

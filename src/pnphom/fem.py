@@ -676,38 +676,3 @@ def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25,
             "newton failed: residual %.3e after %d iterations" % (fnorm, it),
             fnorm / scale, it, x)
     return SolveResult(x, it, fnorm / scale, True)
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-
-class P1Interpolator:
-    """Point evaluation of P1 fields via triangle search.
-
-    Suitable for modest point counts; solvers with structured meshes use
-    their own fast paths.
-    """
-
-    def __init__(self, vertices, triangles):
-        from .geometry import _TriangleLocator
-
-        self.vertices = vertices
-        self.triangles = triangles
-        self._locator = _TriangleLocator(vertices, triangles)
-
-    def __call__(self, values, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(points.shape[0])
-        for i, x in enumerate(points):
-            t = self._locator.find(x)
-            if t < 0:
-                raise AssemblyError("interpolation point %r outside mesh" % (x,))
-            tri = self.triangles[t]
-            p0, p1, p2 = self.vertices[tri[0]], self.vertices[tri[1]], self.vertices[tri[2]]
-            det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
-            l1 = ((x[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (x[1] - p0[1])) / det
-            l2 = ((p1[0] - p0[0]) * (x[1] - p0[1]) - (x[0] - p0[0]) * (p1[1] - p0[1])) / det
-            lam = np.array([1.0 - l1 - l2, l1, l2])
-            out[i] = float(values[tri].dot(lam))
-        return out

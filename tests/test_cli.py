@@ -135,6 +135,21 @@ def test_macro_command_reports_stall(tmp_path):
     assert "macro_final.csv" not in os.listdir(out)
 
 
+def test_sweep_command_reports_limit_stall(tmp_path):
+    # the same stall inside a sweep: the limit model runs before any fine
+    # run, so the sweep stops there with the partial limit ledger
+    cfg = dict(SMALL, pnp=dict(SMALL["pnp"], gummel_max=1))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "sweep")
+    rc = run_cli(["sweep", "--config", str(path), "--out", out])
+    assert rc == 1
+    lines = open(os.path.join(out, "macro_ledger.csv")).read().splitlines()
+    assert lines[0] == "t,mass_plus,mass_minus,pi_eps,min_conc,gummel_iters"
+    assert len(lines) == 2  # the t = 0 row only
+    assert "sweep_report.csv" not in os.listdir(out)
+
+
 def test_sweep_command(small_cfg, tmp_path, capsys):
     out = str(tmp_path / "sweep")
     rc = run_cli(["sweep", "--config", small_cfg, "--out", out,
@@ -163,6 +178,17 @@ def test_bad_config_exits_2(tmp_path):
         run_cli(["mesh", "--config", str(path),
                  "--out", str(tmp_path / "o")])
     assert err.value.code == 2
+
+
+def test_unresolvable_sample_grid_exits_2(tmp_path, capsys):
+    # the default fields carry a w-mode of frequency 1, which needs K >= 4
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(dict(SMALL, K=2)))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["effective", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "config error: sample grid K=2" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_2():

@@ -4,7 +4,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from pnphom import effective
 from pnphom.effective import (
     CellSolveError,
     EffectiveCoefficients,
@@ -317,6 +319,17 @@ def default_fields():
         gamma=GammaFunction("linear", alpha=1.0))
 
 
+def general_fields():
+    # fast and sample variation in both phases: general dielectric mode
+    return MicroCoefficients(
+        rho_f=CoefficientField("rho_f", 2.0, y_modes=(((1, 0), 0.3),),
+                               w_modes=(((1, 0), 0.6),), floor=0.5),
+        rho_s=CoefficientField("rho_s", 2.0, y_modes=(((0, 1), 0.3),),
+                               w_modes=(((1, 1), 0.4),), floor=0.5),
+        eta=CoefficientField.constant(1.0, "eta"),
+        gamma=GammaFunction("linear", alpha=1.0))
+
+
 def test_compute_effective_default(template):
     eff = compute_effective(template, default_fields(), K=32)
     assert eff.theta == pytest.approx(template.porosity)
@@ -374,3 +387,70 @@ def test_voigt_reuss_random_configs(coarse_template):
         assert eigs.max() <= arith + 1e-4
         star = res.theta_star.reshape(-1, 2, 2)
         assert np.abs(star - star.transpose(0, 2, 1)).max() <= 1e-10
+
+
+def test_each_cell_matrix_factored_once(coarse_template, monkeypatch):
+    calls = {"splu": 0, "single": 0}
+    splu = spla.splu
+    single = effective.solve_dielectric_single
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_single(*args, **kwargs):
+        calls["single"] += 1
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(effective, "solve_dielectric_single", counting_single)
+    K = 4
+    eff = compute_effective(coarse_template, general_fields(), K=K)
+    assert eff.provenance["dielectric_mode"] == "general"
+    # species (shared with drift), one per stage-1 sample, one for stage 2
+    assert calls == {"splu": K * K + 2, "single": K * K}
+
+    calls.update(splu=0, single=0)
+    eff = compute_effective(coarse_template, default_fields(), K=K)
+    assert eff.provenance["dielectric_mode"] == "constant-y"
+    assert calls == {"splu": 2, "single": 0}
+
+
+def test_drift_mean_drive_matches_per_sample_loop(coarse_template):
+    # reference: the drift tensor of every stage-1 sample, then the mean
+    fields = general_fields()
+    K = 4
+    eff = compute_effective(coarse_template, fields, K=K)
+    species, A = solve_species_cell(coarse_template)
+    centers = omega_grid_centers(K)
+    B_ref = np.zeros((2, 2))
+    for i in range(K):
+        for j in range(K):
+            wsol, _ = solve_dielectric_single(
+                coarse_template, fields.rho_f, fields.rho_s, centers[i, j])
+            grads = [wsol.corrector_gradients(k) for k in range(2)]
+            B_ref += solve_drift_cell(coarse_template, species, grads)[1]
+    B_ref /= K * K
+    assert np.abs(eff.B_hom - B_ref).max() <= 1e-13
+    # the fluid corrector absorbs any full-cell gradient, so these tensors
+    # equal A_hom; the linearity in the drive is checked on drives that
+    # are not gradients of periodic functions and give a non-diagonal
+    # tensor: constant shears plus a sample-dependent periodic field
+    assert np.abs(B_ref - A).max() <= 1e-12
+    n_tris = coarse_template.triangles.shape[0]
+    cy = coarse_template.vertices[coarse_template.triangles].mean(axis=1)
+    rng = np.random.default_rng(7)
+    drives = []
+    for _ in range(K * K):
+        a, b, c = rng.random(3)
+        g0 = np.zeros((n_tris, 2))
+        g0[:, 1] = a + c * np.sin(2.0 * np.pi * cy[:, 0])
+        g1 = np.zeros((n_tris, 2))
+        g1[:, 0] = b + c * np.cos(2.0 * np.pi * cy[:, 1])
+        drives.append([g0, g1])
+    tensors = [solve_drift_cell(coarse_template, species, g)[1]
+               for g in drives]
+    mean_drive = [sum(g[k] for g in drives) / (K * K) for k in range(2)]
+    B_mean = solve_drift_cell(coarse_template, species, mean_drive)[1]
+    assert abs(B_mean[0, 1]) > 0.1 and abs(B_mean[1, 0]) > 0.1
+    assert np.abs(B_mean - sum(tensors) / (K * K)).max() <= 1e-13

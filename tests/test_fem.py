@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from pnphom.fem import (
     AssemblyError,
     ConvergenceFailure,
-    P1Interpolator,
     SparseMatrix,
     assemble_interface_load,
     assemble_mass,
@@ -373,19 +372,3 @@ def test_newton_failure_reported():
 
     with pytest.raises(ConvergenceFailure):
         newton_solve(residual, solve_lin, np.array([1.0]), max_iter=10)
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-
-def test_p1_interpolator_linear_exact():
-    cell = build_template_cell(
-        UnitCellSpec(inclusion_radius=0.0, target_edge_length=1.0 / 8))
-    values = 2.0 * cell.vertices[:, 0] - 3.0 * cell.vertices[:, 1] + 0.25
-    interp = P1Interpolator(cell.vertices, cell.triangles)
-    rng = np.random.default_rng(4)
-    pts = rng.random((200, 2))
-    got = interp(values, pts)
-    want = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.25
-    assert np.allclose(got, want, atol=1e-12)
