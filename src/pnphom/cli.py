@@ -42,7 +42,10 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent runs")
+                     help="worker threads for independent runs; faster "
+                          "only when OMP_NUM_THREADS, OPENBLAS_NUM_THREADS "
+                          "and MKL_NUM_THREADS are set to 1, no gain at "
+                          "default BLAS threading")
     sub.add_argument("--deterministic",
                      action=argparse.BooleanOptionalAction, default=True,
                      help="zero out wall-clock columns so reruns are "

@@ -348,48 +348,91 @@ def tri_gradient(vertices, triangles, values):
     return np.einsum("tid,ti->td", grads, values[np.asarray(triangles)])
 
 
-def assemble_drift(vertices, triangles, cell_velocity, nv=None):
+class MeshPattern:
+    """Fixed CSR pattern of the P1 vertex graph of a triangle mesh.
+
+    Built once per mesh: the triangle areas and P1 basis gradients, the
+    CSR ``indices``/``indptr`` of every vertex pair sharing a triangle,
+    and ``slots``, the data slot of each of the 9 nt local entries
+    (t, i, j) in row-major order, so an element matrix is summed onto the
+    pattern by one ``np.bincount``.  The pattern comes from the triangles,
+    not from an assembled matrix: a stiffness matrix on right-angle
+    triangles has structural zeros that a drift matrix fills.
+    """
+
+    def __init__(self, vertices, triangles):
+        triangles = np.asarray(triangles)
+        if triangles.shape[0] == 0:
+            raise AssemblyError("empty region")
+        n = vertices.shape[0]
+        self.n = n
+        self.triangles = triangles
+        self.areas, self.grads = tri_geometry(vertices, triangles)
+        rows = np.repeat(triangles, 3, axis=1).ravel().astype(np.int64)
+        cols = np.tile(triangles, (1, 3)).ravel().astype(np.int64)
+        self._keys, self.slots = np.unique(rows * n + cols,
+                                           return_inverse=True)
+        self.rows, cols = np.divmod(self._keys, n)
+        self.nnz = self._keys.shape[0]
+        self.indices = cols.astype(np.int32)
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(
+            np.int32)
+        self.transpose_slots = np.searchsorted(self._keys, cols * n + self.rows)
+        self.diagonal_slots = np.flatnonzero(self.rows == cols)
+
+    def matrix(self, data):
+        """CSR matrix with the given data on this pattern (no copy)."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+    def data_of(self, matrix):
+        """Data array of a sparse matrix whose entries lie in the pattern."""
+        coo = sp.coo_matrix(matrix)
+        keys = coo.row.astype(np.int64) * self.n + coo.col
+        slots = np.minimum(np.searchsorted(self._keys, keys), self.nnz - 1)
+        if not np.array_equal(self._keys[slots], keys):
+            raise AssemblyError("matrix has entries outside the mesh pattern")
+        return np.bincount(slots, weights=coo.data, minlength=self.nnz)
+
+    def gradient(self, values):
+        """Piecewise-constant gradient of a P1 field, shape (nt, 2)."""
+        return np.einsum("tid,ti->td", self.grads, values[self.triangles])
+
+    def upwind_laplacian(self, data):
+        """Artificial-diffusion stabilizer of a drift matrix on the pattern.
+
+        Returns the data of the graph Laplacian with off-diagonal entries
+        -max(0, K_ij, K_ji), so K + L has nonpositive off-diagonal transport
+        couplings.  L is symmetric with zero row sums, so its column sums
+        vanish too and adding it preserves conservation.
+        """
+        off = np.maximum(np.maximum(data, data[self.transpose_slots]), 0.0)
+        off[self.diagonal_slots] = 0.0
+        lap = -off
+        lap[self.diagonal_slots] = np.bincount(self.rows, weights=off,
+                                               minlength=self.n)
+        return lap
+
+
+def assemble_drift(pattern, cell_velocity):
     """Assemble the P1 drift matrix K_ij = int hat_j (v . grad hat_i) dx.
 
+    Fills the data of a CSR matrix on ``pattern`` (a MeshPattern).
     cell_velocity is a (nt, 2) array, constant per triangle (typically the
     gradient of a P1 potential).  The local matrix has identical columns,
-    so every column of K sums to zero exactly: adding K to a diffusion
-    operator never changes the total mass of the transported species.
+    so every column of K sums to zero up to rounding: adding K to a
+    diffusion operator never changes the total mass of the transported
+    species.
     """
-    triangles = np.asarray(triangles)
-    if triangles.shape[0] == 0:
-        raise AssemblyError("empty region")
-    if nv is None:
-        nv = vertices.shape[0]
-    areas, grads = tri_geometry(vertices, triangles)
     v = np.asarray(cell_velocity, dtype=float)
-    if v.shape != (triangles.shape[0], 2):
+    if v.shape != (pattern.triangles.shape[0], 2):
         raise AssemblyError("cell_velocity must be (nt, 2)")
     # int_T hat_j dx = area/3 for each j, so K_local[i, j] = (area/3) g_i.v
-    gi_v = np.einsum("tid,td->ti", grads, v) * (areas / 3.0)[:, None]
-    local = np.repeat(gi_v[:, :, None], 3, axis=2)  # columns identical
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    return SparseMatrix.from_coo(rows, cols, local.ravel(), nv, symmetric=False)
-
-
-def upwind_stabilization(K):
-    """Symmetric artificial-diffusion stabilizer for a drift matrix.
-
-    Returns the graph Laplacian D with off-diagonal entries
-    -max(0, K_ij, K_ji), so K + D has nonpositive off-diagonal transport
-    couplings.  Row and column sums of D vanish, preserving conservation.
-    """
-    A = K.csr.tocoo()
-    mask = A.row != A.col
-    rows, cols, vals = A.row[mask], A.col[mask], A.data[mask]
-    n = K.csr.shape[0]
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    d = off.maximum(off.T)
-    d.data = np.maximum(d.data, 0.0)
-    d.eliminate_zeros()
-    lap = sp.diags(np.asarray(d.sum(axis=1)).ravel()) - d
-    return SparseMatrix(lap.tocsr(), symmetric=True)
+    gi_v = (np.einsum("tid,td->ti", pattern.grads, v)
+            * (pattern.areas / 3.0)[:, None])
+    local = np.repeat(gi_v, 3, axis=1)  # (t, 3i + j) -> gi_v[t, i]
+    return pattern.matrix(np.bincount(pattern.slots, weights=local.ravel(),
+                                      minlength=pattern.nnz))
 
 
 def assemble_interface_load(vertices, edges, density=None, rule=None, nv=None):

@@ -11,9 +11,9 @@ Discretization: P1 elements, lumped mass in the time derivative, backward
 Euler in increment form, Gummel (Picard) alternation between the species
 transport solves and the Poisson solve inside each step.  Mass and the
 scaled surface charge functional are conserved to solver precision because
-every transport operator has exactly zero column sums; the conservation
-ledger records both at every step together with the discrete weak-form
-charge identity.
+every transport operator has zero column sums up to rounding; the
+conservation ledger records both at every step together with the discrete
+weak-form charge identity.
 
 The stepper (``_Transport``) takes its operators from the caller: lumped
 mass weights, species stiffness, drift velocity map, Poisson operator,
@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .fem import (
     ConvergenceFailure,
-    SparseMatrix,
+    MeshPattern,
     assemble_drift,
     assemble_interface_load,
     assemble_mass,
@@ -44,7 +44,6 @@ from .fem import (
     quadrature,
     bicgstab_solve,
     tri_gradient,
-    upwind_stabilization,
 )
 from .randomfield import eval_field_eps
 
@@ -273,12 +272,19 @@ class _Transport:
         else:
             slope = gamma.derivative(0.0)
             self._poisson_prec = _LuPrecond(A + sp.diags(scale * slope * vec))
+        # the species matrices diag(weights)/dt + D A_species on the fixed
+        # pattern the drift term is filled into; one LU per distinct D
+        self._pattern = MeshPattern(vertices, triangles)
         dtm = sp.diags(weights).tocsr() / params.dt
-        self._np_base = {
-            +1: dtm + params.D_plus * A_species.csr,
-            -1: dtm + params.D_minus * A_species.csr,
-        }
-        self._np_prec = {s: _LuPrecond(B) for s, B in self._np_base.items()}
+        self._np_base = {}
+        self._np_prec = {}
+        lus = {}
+        for s, D in ((+1, params.D_plus), (-1, params.D_minus)):
+            B = dtm + D * A_species.csr
+            if D not in lus:
+                lus[D] = _LuPrecond(B)
+            self._np_prec[s] = lus[D]
+            self._np_base[s] = self._pattern.data_of(B)
 
     # -- quantities -------------------------------------------------------
 
@@ -357,19 +363,6 @@ class _Transport:
                                            max_iter=25).x
         return state
 
-    def _drift_matrix(self, sign, velocity):
-        """Signed, scaled drift operator for one species (zero column sums)."""
-        p = self.params
-        D = p.D_plus if sign > 0 else p.D_minus
-        z = p.z_plus if sign > 0 else p.z_minus
-        vertices, triangles, _ = self._species_mesh
-        K = assemble_drift(vertices, triangles, velocity,
-                           nv=vertices.shape[0])
-        Ks = (sign * D * p.c * z) * K.csr
-        if p.upwind:
-            Ks = Ks + upwind_stabilization(SparseMatrix(Ks)).csr
-        return Ks
-
     def step_nernst_planck(self, state):
         """Advance one backward Euler step with Gummel coupling.
 
@@ -378,22 +371,28 @@ class _Transport:
         gummel_max iterations.
         """
         p = self.params
-        vertices, triangles, ids = self._species_mesh
+        pattern = self._pattern
+        ids = self._species_mesh[2]
         u_old = {+1: state.conc_plus, -1: state.conc_minus}
         u_new = {s: u_old[s].copy() for s in (+1, -1)}
         delta_prev = {s: None for s in (+1, -1)}
         change = math.inf
         for it in range(1, p.gummel_max + 1):
-            velocity = tri_gradient(vertices, triangles, state.potential[ids])
+            velocity = pattern.gradient(state.potential[ids])
             if self._drift_map is not None:
                 velocity = velocity.dot(self._drift_map.T)
+            # one drift fill for both species: they differ by a factor
+            K = assemble_drift(pattern, velocity).data
             prev = {s: u_new[s].copy() for s in (+1, -1)}
             for s in (+1, -1):
                 D = p.D_plus if s > 0 else p.D_minus
-                Kd = self._drift_matrix(s, velocity)
-                B = self._np_base[s] + Kd
+                z = p.z_plus if s > 0 else p.z_minus
+                kd = (s * D * p.c * z) * K
+                if p.upwind:
+                    kd = kd + pattern.upwind_laplacian(kd)
+                B = pattern.matrix(self._np_base[s] + kd)
                 rhs = -(D * self._A_species.matvec(u_old[s])
-                        + Kd.dot(u_old[s]))
+                        + pattern.matrix(kd).dot(u_old[s]))
                 res = bicgstab_solve(B, rhs, tol=p.linear_tol,
                                      precond=self._np_prec[s],
                                      x0=delta_prev[s], max_iter=2000)
@@ -449,7 +448,8 @@ class MicroProblem(_Transport):
 
     Matrices that do not change over the run (dielectric stiffness, surface
     weights, fluid diffusion and mass) are built once; the drift matrix is
-    reassembled at every Gummel iterate from the current potential.
+    refilled on the fixed mesh pattern at every Gummel iterate from the
+    current potential.
     """
 
     def __init__(self, mesh, params, fields, omega):

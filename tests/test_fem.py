@@ -9,7 +9,9 @@ import scipy.sparse as sp
 from pnphom.fem import (
     AssemblyError,
     ConvergenceFailure,
+    MeshPattern,
     SparseMatrix,
+    assemble_drift,
     assemble_interface_load,
     assemble_mass,
     assemble_stiffness,
@@ -21,7 +23,7 @@ from pnphom.fem import (
     quadrature,
     tri_geometry,
 )
-from pnphom.geometry import UnitCellSpec, build_template_cell
+from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 
 
 def reference_triangle():
@@ -239,6 +241,91 @@ def test_edge_quadrature_points(fluid_template):
     r = np.linalg.norm(pts.reshape(-1, 2) - 0.5, axis=1)
     assert np.all(r <= 0.25 + 1e-12)
     assert np.all(r >= 0.25 * math.cos(math.pi / 32) - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# drift on the fixed mesh pattern
+
+
+@pytest.fixture(scope="module", params=["tiled", "right-angle"])
+def drift_mesh(request):
+    # a tiled perforated fluid mesh, and a right-angle square mesh whose
+    # stiffness has structural zeros the drift pattern must still hold
+    if request.param == "tiled":
+        mesh = tile_domain(build_template_cell(UnitCellSpec(
+            n_interface_segments=32, target_edge_length=1.0 / 8)), 2)
+        ids, tris, _ = mesh.fluid_submesh()
+        verts = mesh.vertices[ids]
+    else:
+        cell = build_template_cell(
+            UnitCellSpec(inclusion_radius=0.0, target_edge_length=1.0 / 8))
+        verts, tris = cell.vertices, cell.triangles
+    velocity = np.random.default_rng(7).standard_normal((len(tris), 2))
+    return verts, tris, velocity
+
+
+def _dense_drift(verts, tris, velocity):
+    # K_ij = int hat_j (v . grad hat_i) dx from the element formula, summed
+    # as COO triplets
+    areas, grads = tri_geometry(verts, tris)
+    gi_v = np.einsum("tid,td->ti", grads, velocity) * (areas / 3.0)[:, None]
+    local = np.repeat(gi_v[:, :, None], 3, axis=2)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    n = len(verts)
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).toarray()
+
+
+def _dense_upwind(K):
+    # graph Laplacian with off-diagonal entries -max(0, K_ij, K_ji)
+    A = sp.coo_matrix(K)
+    mask = A.row != A.col
+    off = sp.coo_matrix((A.data[mask], (A.row[mask], A.col[mask])),
+                        shape=A.shape).tocsr()
+    d = off.maximum(off.T)
+    d.data = np.maximum(d.data, 0.0)
+    d.eliminate_zeros()
+    return (sp.diags(np.asarray(d.sum(axis=1)).ravel()) - d).toarray()
+
+
+def test_drift_fill_matches_element_formula(drift_mesh):
+    verts, tris, velocity = drift_mesh
+    pattern = MeshPattern(verts, tris)
+    K = assemble_drift(pattern, velocity)
+    dense = _dense_drift(verts, tris, velocity)
+    assert K.nnz == pattern.nnz
+    assert np.abs(K.toarray() - dense).max() <= 1e-15
+    # zero column sums, to the rounding of the summation
+    col_sums = np.asarray(K.sum(axis=0)).ravel()
+    col_abs = np.asarray(abs(K).sum(axis=0)).ravel()
+    assert np.all(np.abs(col_sums) <= 1e-14 * col_abs)
+    with pytest.raises(AssemblyError):
+        assemble_drift(pattern, velocity[1:])
+
+
+def test_mesh_pattern_holds_stiffness_structural_zeros(drift_mesh):
+    verts, tris, _ = drift_mesh
+    pattern = MeshPattern(verts, tris)
+    A = assemble_stiffness(verts, tris).csr
+    assert np.array_equal(pattern.matrix(pattern.data_of(A)).toarray(),
+                          A.toarray())
+    n = len(verts)
+    far = sp.coo_matrix(([1.0], ([0], [n - 1])), shape=(n, n))
+    with pytest.raises(AssemblyError):
+        pattern.data_of(far)
+
+
+def test_upwind_laplacian_on_pattern(drift_mesh):
+    verts, tris, velocity = drift_mesh
+    pattern = MeshPattern(verts, tris)
+    K = assemble_drift(pattern, velocity)
+    L = pattern.matrix(pattern.upwind_laplacian(K.data)).toarray()
+    assert np.abs(L - _dense_upwind(K)).max() <= 1e-15
+    assert np.abs(L.sum(axis=0)).max() <= 1e-15
+    assert np.abs(L.sum(axis=1)).max() <= 1e-15
+    # K + L has nonpositive off-diagonal couplings
+    KL = K.toarray() + L
+    assert (KL - np.diag(np.diag(KL))).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

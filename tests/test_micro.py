@@ -6,8 +6,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from pnphom.effective import EffectiveCoefficients
 from pnphom.fem import ConvergenceFailure, assemble_mass
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
+from pnphom.macro import MacroProblem, macro_mesh
 from pnphom.micro import (
     ConservationLedger,
     MicroCoefficients,
@@ -247,6 +249,29 @@ def test_cfl_step_controls_undershoot(coarse_mesh):
 
 # ---------------------------------------------------------------------------
 # full runs and the ledger
+
+
+@pytest.mark.parametrize("D_minus,expected", [(1.0, 2), (0.5, 3)])
+def test_species_lu_shared_when_diffusivities_agree(coarse_mesh, monkeypatch,
+                                                    D_minus, expected):
+    # linear gamma: one direct Poisson LU, plus one species LU per
+    # distinct diffusion coefficient, for the fine and the limit stepper
+    calls = {"splu": 0}
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    params = PnpParams(D_plus=1.0, D_minus=D_minus)
+    MicroProblem(coarse_mesh, params, wiggly_fields(), sample_omega(2).omega)
+    assert calls["splu"] == expected
+    calls["splu"] = 0
+    eye = np.eye(2)
+    MacroProblem(macro_mesh(8), EffectiveCoefficients(0.8, eye, eye, eye, 1.0),
+                 params, GammaFunction("linear", alpha=1.0))
+    assert calls["splu"] == expected
 
 
 def test_run_zero_horizon(coarse_mesh):
