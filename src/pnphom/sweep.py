@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator
+import scipy.sparse as sp
 
 from .effective import compute_effective
 from .geometry import build_template_cell, tile_domain
@@ -84,26 +84,83 @@ def _trapezoid_weights(times):
     return w
 
 
+def _grid_resolution(mesh):
+    """Side count n of a mesh with ``macro_mesh``'s layout, or ValueError.
+
+    The layout: vertices on the grid (i/n, j/n), and triangles 2(j n + i)
+    and 2(j n + i) + 1 splitting cell [i/n, (i+1)/n] x [j/n, (j+1)/n] along
+    one of its diagonals.
+    """
+    tris = np.asarray(mesh.triangles)
+    n = int(round(math.sqrt(tris.shape[0] / 2.0)))
+    if n < 1 or tris.shape[0] != 2 * n * n:
+        raise ValueError("limit mesh is not a macro grid: %d triangles"
+                         % tris.shape[0])
+    grid = np.asarray(mesh.vertices, dtype=float) * n
+    corners = np.rint(grid)
+    cells = np.arange(n * n).repeat(2)
+    offsets = corners[tris] - np.column_stack([cells % n, cells // n])[:, None]
+    # corner codes di + 2 dj in the cell, so opposite corners sum to 3; the
+    # two triangles split the cell along a diagonal when the corners they
+    # leave out (6 minus the sum of their codes) are opposite
+    codes = np.sort(offsets[..., 0] + 2 * offsets[..., 1], axis=1)
+    missing = 6 - codes.sum(axis=1)
+    if (np.abs(grid - corners).max() > 1e-9
+            or not np.isin(offsets, (0.0, 1.0)).all()
+            or (np.diff(codes, axis=1) == 0).any()
+            or (missing[0::2] + missing[1::2] != 3).any()):
+        raise ValueError("limit mesh triangles are not the macro grid's")
+    return n
+
+
 class MacroReference:
-    """The limit-model trajectory with vectorized point evaluation."""
+    """The limit-model trajectory, evaluated as the P1 function the limit
+    solver computed on its uniform grid (``macro_mesh``)."""
+
+    DOMAIN_TOL = 1e-12
 
     def __init__(self, mesh, snapshots, ledger, params):
+        self.mesh = mesh
         self.snapshots = snapshots
         self.ledger = ledger
         self.times = [s.t for s in snapshots]
-        self._interp = {}
-        for name in ERROR_FIELDS:
-            self._interp[name] = [
-                LinearNDInterpolator(mesh.vertices, getattr(s, name))
-                for s in snapshots]
+        self._n = _grid_resolution(mesh)
+        self._triangles = np.asarray(mesh.triangles)
+        verts = np.asarray(mesh.vertices, dtype=float)
+        self._origin = verts[self._triangles[:, 0]]
+        edges = verts[self._triangles[:, 1:]] - self._origin[:, None, :]
+        self._inverse = np.linalg.inv(edges.transpose(0, 2, 1))
         self.equilibrium_residual = float(
             ledger.charge_identity_residuals(params).max())
 
-    def evaluate(self, name, snapshot_index, points):
-        vals = self._interp[name][snapshot_index](points)
-        if np.isnan(vals).any():
+    def interpolation_matrix(self, points):
+        """Sparse (n_points, n_vertices) matrix of P1 barycentric weights.
+
+        A point is located in its grid cell floor(x n), clipped to the
+        grid, then in whichever of the cell's two triangles holds it.
+        Points outside the closed unit square raise RuntimeError.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        if ((pts < -self.DOMAIN_TOL) | (pts > 1.0 + self.DOMAIN_TOL)).any():
             raise RuntimeError("limit-model interpolation left the domain")
-        return vals
+        n = self._n
+        ij = np.clip(np.floor(pts * n).astype(np.int64), 0, n - 1)
+        first = 2 * (ij[:, 1] * n + ij[:, 0])
+        cand = np.column_stack([first, first + 1])
+        local = np.einsum("pcab,pcb->pca", self._inverse[cand],
+                          pts[:, None, :] - self._origin[cand])
+        lam = np.concatenate([1.0 - local.sum(axis=2, keepdims=True), local],
+                             axis=2)
+        pick = lam.min(axis=2).argmax(axis=1)
+        rows = np.arange(pts.shape[0])
+        return sp.csr_matrix(
+            (lam[rows, pick].ravel(), self._triangles[cand[rows, pick]].ravel(),
+             3 * np.arange(pts.shape[0] + 1)),
+            shape=(pts.shape[0], self.mesh.vertices.shape[0]))
+
+    def evaluate(self, name, snapshot_index, points):
+        field = getattr(self.snapshots[snapshot_index], name)
+        return self.interpolation_matrix(points) @ field
 
 
 def compare_trajectories(problem, snapshots, reference):
@@ -117,7 +174,7 @@ def compare_trajectories(problem, snapshots, reference):
     if len(snapshots) != len(reference.snapshots):
         raise ValueError("snapshot grids differ: %d vs %d"
                          % (len(snapshots), len(reference.snapshots)))
-    pts = problem.fluid_vertices
+    interp = reference.interpolation_matrix(problem.fluid_vertices)
     w = problem.mass_vec
     tw = _trapezoid_weights(reference.times)
     final, spacetime = {}, {}
@@ -127,7 +184,7 @@ def compare_trajectories(problem, snapshots, reference):
             mic = getattr(snap, name)
             if name == "potential":
                 mic = mic[problem.fluid_ids]
-            mac = reference.evaluate(name, k, pts)
+            mac = interp @ getattr(reference.snapshots[k], name)
             nums.append(float(np.sum(w * (mic - mac) ** 2)))
             dens.append(float(np.sum(w * mac * mac)))
         final[name] = math.sqrt(nums[-1]) / max(math.sqrt(dens[-1]), 1e-300)

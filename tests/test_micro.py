@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pnphom.effective import EffectiveCoefficients
+from pnphom.effective import EffectiveCoefficients, compute_effective
 from pnphom.fem import ConvergenceFailure, assemble_mass
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 from pnphom.macro import MacroProblem, macro_mesh
@@ -272,6 +272,35 @@ def test_species_lu_shared_when_diffusivities_agree(coarse_mesh, monkeypatch,
     MacroProblem(macro_mesh(8), EffectiveCoefficients(0.8, eye, eye, eye, 1.0),
                  params, GammaFunction("linear", alpha=1.0))
     assert calls["splu"] == expected
+
+
+def test_every_lu_orders_by_minimum_degree(coarse_mesh, monkeypatch):
+    # every matrix factored is symmetric: each splu call asks for minimum
+    # degree on A + A^T, in the fine, limit and cell-problem set-ups
+    specs = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    omega = sample_omega(2).omega
+    saturated = GammaFunction("saturated", alpha=1.0, lipschitz=2.0,
+                              saturation_scale=0.5)
+    MicroProblem(coarse_mesh, PnpParams(), wiggly_fields(), omega)
+    assert len(specs) == 2  # direct Poisson LU, one species LU
+    MicroProblem(coarse_mesh, PnpParams(), wiggly_fields(saturated), omega)
+    assert len(specs) == 4  # Newton preconditioner, one species LU
+    eye = np.eye(2)
+    MacroProblem(macro_mesh(8), EffectiveCoefficients(0.8, eye, eye, eye, 1.0),
+                 PnpParams(), GammaFunction("linear", alpha=1.0))
+    assert len(specs) == 6
+    spec = UnitCellSpec(n_interface_segments=32, target_edge_length=1.0 / 8)
+    eff = compute_effective(build_template_cell(spec), wiggly_fields(), K=4)
+    assert eff.provenance["dielectric_mode"] == "general"
+    assert len(specs) > 6
+    assert set(specs) == {"MMD_AT_PLUS_A"}
 
 
 def test_run_zero_horizon(coarse_mesh):

@@ -1,13 +1,16 @@
 """Tests for the fine-vs-limit error sweep."""
 
+import copy
 import csv
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from pnphom.config import load_config
+from pnphom.geometry import UnitCellSpec, build_template_cell
 from pnphom.macro import MacroProblem, macro_mesh
 from pnphom.micro import ConservationLedger, MicroState, PnpParams
 from pnphom.randomfield import GammaFunction
@@ -76,6 +79,64 @@ def test_reference_rejects_outside_points():
     ref = make_reference(mesh, lambda p: np.ones(p.shape[0]), params)
     with pytest.raises(RuntimeError):
         ref.evaluate("conc_plus", 0, np.array([[1.5, 0.5]]))
+
+
+def test_reference_is_the_solved_p1_function():
+    # random vertex values are no global linear field: only the solved
+    # mesh's own triangles give the mean of their vertices at a centroid
+    mesh = macro_mesh(8)
+    params = PnpParams(dt=0.05, t_final=0.05)
+    rng = np.random.default_rng(11)
+    vals = rng.uniform(0.5, 1.5, size=mesh.vertices.shape[0])
+    ref = make_reference(mesh, lambda p: vals, params)
+    tris = mesh.triangles
+    got = ref.evaluate("conc_plus", 0, mesh.vertices[tris].mean(axis=1))
+    assert np.abs(got - vals[tris].mean(axis=1)).max() <= 1e-14
+    got = ref.evaluate("conc_plus", 0, mesh.vertices)
+    assert np.abs(got - vals).max() <= 1e-14
+
+    # points on the sides x = 1 and y = 1 take the edge's linear values
+    grid = np.empty((9, 9))
+    ij = np.rint(mesh.vertices * 8).astype(int)
+    grid[ij[:, 0], ij[:, 1]] = vals
+    s = np.concatenate([rng.uniform(0.0, 1.0, size=20), [0.0, 1.0]])
+    j = np.minimum(np.floor(s * 8).astype(int), 7)
+    t = s * 8 - j
+    for side, values in ((0, grid[8]), (1, grid[:, 8])):
+        pts = np.empty((s.size, 2))
+        pts[:, side] = 1.0
+        pts[:, 1 - side] = s
+        edge = (1.0 - t) * values[j] + t * values[j + 1]
+        got = ref.evaluate("conc_plus", 0, pts)
+        assert np.abs(got - edge).max() <= 1e-14
+
+
+def test_reference_rejects_other_mesh_layouts():
+    mesh = macro_mesh(8)
+    params = PnpParams(dt=0.05, t_final=0.05)
+    shuffled = copy.copy(mesh)
+    shuffled.triangles = mesh.triangles[
+        np.random.default_rng(2).permutation(mesh.triangles.shape[0])]
+    perforated = build_template_cell(
+        UnitCellSpec(n_interface_segments=32, target_edge_length=1.0 / 8))
+    for other in (shuffled, perforated):
+        with pytest.raises(ValueError):
+            make_reference(other, lambda p: np.ones(p.shape[0]), params)
+
+
+def test_reference_pickles():
+    mesh = macro_mesh(8)
+    params = PnpParams(dt=0.05, t_final=0.05)
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(0.5, 1.5, size=mesh.vertices.shape[0])
+    ref = make_reference(mesh, lambda p: vals, params)
+    copied = pickle.loads(pickle.dumps(ref))
+    probe = rng.uniform(0.0, 1.0, size=(50, 2))
+    for name in ("conc_plus", "conc_minus", "potential"):
+        assert np.array_equal(copied.evaluate(name, 0, probe),
+                              ref.evaluate(name, 0, probe))
+    assert copied.times == ref.times
+    assert copied.equilibrium_residual == ref.equilibrium_residual
 
 
 def run_pair(cfg):
