@@ -9,6 +9,12 @@ the torus of shifts as an ordinary periodic coefficient, discretized with
 bilinear elements on a K x K grid, and condenses it once more.  The output
 is a set of constant tensors (species diffusion, drift coupling, effective
 dielectric), the porosity, and the averaged surface factor.
+
+The drift tensor needs no cell problem of its own: the species corrector is
+orthogonal to every periodic P1 function on the fluid subcell, and the
+full-cell dielectric corrector restricted to the fluid is one, because the
+fluid subcell is a submesh of the template.  So the drift tensor equals the
+species tensor for any dielectric coefficient, discretely as well.
 """
 
 import json
@@ -124,22 +130,12 @@ def _scatter(contrib, triangles, nv):
     return b
 
 
-def _unit_drives(n_tris):
-    """Per-triangle drive fields e_0 and e_1."""
-    drives = []
-    for k in range(2):
-        drive = np.zeros((n_tris, 2))
-        drive[:, k] = 1.0
-        drives.append(drive)
-    return drives
-
-
 class CellProblemSolution:
     """Correctors of one cell problem with their audit quantities.
 
     Attributes
     ----------
-    kind : str, one of 'species-y', 'dielectric-y', 'drift-y'
+    kind : str, one of 'species-y', 'dielectric-y'
     vertices, triangles : the (sub)mesh the correctors live on
     vertex_ids : global template vertex ids (None when the full mesh is used)
     correctors : list of two vertex arrays, one per unit direction
@@ -175,32 +171,15 @@ class CellProblemSolution:
         return max(abs(float(weights.dot(u))) for u in self.correctors)
 
 
-def _solve_directions(kind, operator, vertices, triangles, grads, csum,
-                      drives):
-    """Solve the corrector problem once per drive field.
-
-    The load of drive d is b_i = sum_T (int_T a) grad(phi_i) . d; returns
-    the correctors, their residuals and the fluxes d + grad u.
-    """
-    nv = vertices.shape[0]
-    correctors, residuals, fluxes = [], [], []
-    for drive in drives:
-        contrib = np.einsum("tid,td->ti", grads, drive) * csum[:, None]
-        u, resid = operator.solve(_scatter(contrib, triangles, nv))
-        _check_residual(kind, resid)
-        correctors.append(u)
-        residuals.append(resid)
-        fluxes.append(drive + tri_gradient(vertices, triangles, u))
-    return correctors, residuals, fluxes
-
-
 def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
                 csum=None):
     """Unit-direction correctors of div(a (e_k + grad u)) = 0 on a cell.
 
     csum is the per-triangle integral of a (the area when None, a = 1);
-    the mean-zero weights are the lumped area of the (sub)mesh.  Returns
-    the solution, which keeps the factored operator, and the energy tensor.
+    the mean-zero weights are the lumped area of the (sub)mesh.  The load
+    of direction k is b_i = sum_T (int_T a) d(phi_i)/dy_k.  Returns the
+    solution, which keeps the factored operator, and the energy tensor of
+    the fluxes e_k + grad u_k.
     """
     nv = vertices.shape[0]
     areas, grads = tri_geometry(vertices, triangles)
@@ -210,9 +189,16 @@ def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
     weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
                        triangles, nv)
     operator = _PeriodicOperator(A, weights, _periodic_rep(nv, pair_arrays))
-    correctors, residuals, fluxes = _solve_directions(
-        kind, operator, vertices, triangles, grads, csum,
-        _unit_drives(triangles.shape[0]))
+    correctors, residuals, fluxes = [], [], []
+    for k in range(2):
+        u, resid = operator.solve(
+            _scatter(grads[:, :, k] * csum[:, None], triangles, nv))
+        _check_residual(kind, resid)
+        flux = tri_gradient(vertices, triangles, u)
+        flux[:, k] += 1.0
+        correctors.append(u)
+        residuals.append(resid)
+        fluxes.append(flux)
     sol = CellProblemSolution(kind + "-y", vertices, triangles, vertex_ids,
                               correctors, residuals, csum, operator)
     return sol, _energy_tensor(csum, fluxes, fluxes)
@@ -282,40 +268,6 @@ def solve_species_cell(template):
     verts, tris, vertex_ids, pair_arrays = _fluid_subcell(template)
     _require_connected(tris, verts.shape[0])
     return _solve_cell("species", verts, tris, vertex_ids, pair_arrays)
-
-
-def solve_drift_cell(template, species_solution, w_gradients=None):
-    """Solve the coupled drift correctors and form the drift tensor.
-
-    The corrector for direction k solves the same fluid-phase periodic
-    problem as the species corrector, with the same factored operator, but
-    driven by e_k + grad w_k where w_k is the fast-stage dielectric
-    corrector (w = 0 when the dielectric coefficient has no fast
-    variation, in which case the problem and hence the tensor coincide
-    with the species ones exactly).  w_gradients is indexed like the full
-    template triangle list; only its fluid rows are used.
-
-    Returns
-    -------
-    (CellProblemSolution, (2, 2) array)
-    """
-    verts = species_solution.vertices
-    tris = species_solution.triangles
-    areas, grads = tri_geometry(verts, tris)
-    units = drives = _unit_drives(tris.shape[0])
-    if w_gradients is not None:
-        fluid_mask = template.tri_phase == FLUID
-        drives = [e + np.asarray(g)[fluid_mask]
-                  for e, g in zip(units, w_gradients)]
-    operator = species_solution.operator
-    correctors, residuals, fluxes = _solve_directions(
-        "drift", operator, verts, tris, grads, areas, drives)
-    species_flux = [e + species_solution.corrector_gradients(j)
-                    for j, e in enumerate(units)]
-    sol = CellProblemSolution("drift-y", verts, tris,
-                              species_solution.vertex_ids, correctors,
-                              residuals, areas, operator)
-    return sol, _energy_tensor(areas, species_flux, fluxes)
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +460,11 @@ class DielectricResult:
 
     mode is 'constant-y' (no fast variation, stage 1 exact), 'frozen-omega'
     (no sample variation, one stage-1 solve), or 'general' (one stage-1
-    solve per grid element).  w_gradients is the sample mean over the
-    stage-1 solves of the per-triangle corrector gradients [grad w_0,
-    grad w_1] on the full template (the one sample's gradients in
-    frozen-omega mode, None in constant-y mode, where w = 0).
+    solve per grid element).
     """
 
     def __init__(self, mode, K, theta_star, theta_eff, stage2_correctors,
-                 stage1_residual_max, stage2_residuals, stage1_solves,
-                 w_gradients):
+                 stage1_residual_max, stage2_residuals, stage1_solves):
         self.mode = mode
         self.K = K
         self.theta_star = theta_star
@@ -525,7 +473,6 @@ class DielectricResult:
         self.stage1_residual_max = stage1_residual_max
         self.stage2_residuals = stage2_residuals
         self.stage1_solves = stage1_solves
-        self.w_gradients = w_gradients
 
 
 def solve_dielectric_cells(rho_f, rho_s, template, K=32):
@@ -549,7 +496,6 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
     centers = omega_grid_centers(K)
     theta_star = np.empty((K, K, 2, 2))
     stage1_resid = 0.0
-    w_gradients = None
 
     if _y_constant_dielectric(template, rho_f, rho_s):
         mode = "constant-y"
@@ -562,29 +508,22 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
                                               np.zeros(2))
         theta_star[:] = tensor
         stage1_resid = max(sol.residuals)
-        w_gradients = [sol.corrector_gradients(k) for k in range(2)]
         solves = 1
     else:
         mode = "general"
         log.info("dielectric stage 1: %d cell solves on a %dx%d grid",
                  K * K, K, K)
-        w_gradients = [np.zeros((template.triangles.shape[0], 2))
-                       for _ in range(2)]
-        # the drift tensor is linear in e_k + grad w_k: the mean suffices
         for i in range(K):
             for j in range(K):
                 sol, tensor = solve_dielectric_single(
                     template, rho_f, rho_s, centers[i, j])
                 theta_star[i, j] = tensor
                 stage1_resid = max(stage1_resid, max(sol.residuals))
-                for k in range(2):
-                    w_gradients[k] += sol.corrector_gradients(k)
-        w_gradients = [g / (K * K) for g in w_gradients]
         solves = K * K
 
     correctors, theta_eff, stage2_resid = q1_periodic_solve(theta_star)
     return DielectricResult(mode, K, theta_star, theta_eff, correctors,
-                            stage1_resid, stage2_resid, solves, w_gradients)
+                            stage1_resid, stage2_resid, solves)
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +598,6 @@ def compute_effective(template, fields, K=32):
     """
     species_sol, A_hom = solve_species_cell(template)
     diel = solve_dielectric_cells(fields.rho_f, fields.rho_s, template, K=K)
-
-    drift_sol, B_hom = solve_drift_cell(template, species_sol,
-                                        diel.w_gradients)
     s_bar = surface_factor(template, fields.eta)
     spec = template.spec
     provenance = {
@@ -674,9 +610,9 @@ def compute_effective(template, fields, K=32):
         "stage1_solves": int(diel.stage1_solves),
         "residual_max": max(max(species_sol.residuals),
                             diel.stage1_residual_max,
-                            max(diel.stage2_residuals),
-                            max(drift_sol.residuals)),
+                            max(diel.stage2_residuals)),
         "interface_length": template.interface_length,
     }
-    return EffectiveCoefficients(template.porosity, A_hom, B_hom,
+    # the drift tensor is the species tensor (see the module docstring)
+    return EffectiveCoefficients(template.porosity, A_hom, A_hom.copy(),
                                  diel.theta_eff, s_bar, provenance)

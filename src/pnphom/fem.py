@@ -238,13 +238,6 @@ class SparseMatrix:
     def total(self):
         return float(self.csr.sum())
 
-    def dump(self, path):
-        """Write coordinate text records `i j value`."""
-        coo = self.csr.tocoo()
-        with open(path, "w") as fh:
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write("%d %d %.17g\n" % (i, j, v))
-
     def __repr__(self):
         return "SparseMatrix(%dx%d, nnz=%d%s)" % (
             self.shape[0], self.shape[1], self.csr.nnz,
@@ -518,8 +511,8 @@ def _as_operator(A):
     return A
 
 
-def cg_solve(A, b, tol=1e-11, max_iter=None, jacobi=False, x0=None,
-             deflate=False, raise_on_fail=True, precond=None):
+def cg_solve(A, b, tol=1e-11, max_iter=None, x0=None, deflate=False,
+             raise_on_fail=True, precond=None):
     """Conjugate gradients for symmetric positive (semi)definite systems.
 
     Deterministic: fixed iteration order, plain numpy reductions.  With
@@ -527,7 +520,7 @@ def cg_solve(A, b, tol=1e-11, max_iter=None, jacobi=False, x0=None,
     which handles the pure-Neumann kernel of constants; the right-hand
     side is projected and the returned solution has zero mean.  A custom
     symmetric positive preconditioner may be passed as ``precond``, a
-    callable r -> z (overrides jacobi).
+    callable r -> z.
 
     Returns a SolveResult; raises ConvergenceFailure when the iteration
     budget is exhausted (unless raise_on_fail is False).
@@ -548,25 +541,11 @@ def cg_solve(A, b, tol=1e-11, max_iter=None, jacobi=False, x0=None,
     r = b - A.dot(x)
     if deflate:
         r = r - r.mean()
-    if precond is not None:
-        minv = None
-        apply_prec = precond
-    elif jacobi:
-        d = A.diagonal().copy()
-        d[d == 0.0] = 1.0
-        minv = 1.0 / d
-        apply_prec = None
-    else:
-        minv = None
-        apply_prec = None
 
     def _z(rv):
-        if apply_prec is not None:
-            zv = apply_prec(rv)
-        elif minv is not None:
-            zv = minv * rv
-        else:
+        if precond is None:
             return rv
+        zv = precond(rv)
         if deflate:
             zv = zv - zv.mean()
         return zv
@@ -611,12 +590,11 @@ def cg_solve(A, b, tol=1e-11, max_iter=None, jacobi=False, x0=None,
     return SolveResult(x, it, res, True)
 
 
-def bicgstab_solve(A, b, tol=1e-11, max_iter=None, jacobi=False, x0=None,
+def bicgstab_solve(A, b, tol=1e-11, max_iter=None, x0=None,
                    raise_on_fail=True, precond=None):
     """BiCGStab for general square systems; deterministic like cg_solve.
 
-    ``precond`` is a callable v -> z applied as a right preconditioner
-    (overrides jacobi).
+    ``precond`` is a callable v -> z applied as a right preconditioner.
     """
     A = _as_operator(A)
     n = A.shape[0]
@@ -627,17 +605,9 @@ def bicgstab_solve(A, b, tol=1e-11, max_iter=None, jacobi=False, x0=None,
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0, True)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if precond is None and jacobi:
-        d = A.diagonal().copy()
-        d[d == 0.0] = 1.0
-        minv = 1.0 / d
-    else:
-        minv = None
 
     def prec(v):
-        if precond is not None:
-            return precond(v)
-        return minv * v if minv is not None else v
+        return v if precond is None else precond(v)
 
     r = b - A.dot(x)
     rhat = r.copy()

@@ -27,7 +27,6 @@ FLUID = 0
 SOLID = 1
 
 PHASE_NAMES = {FLUID: "fluid", SOLID: "solid"}
-PHASE_CODES = {"fluid": FLUID, "solid": SOLID}
 
 MIN_ANGLE_DEG = 15.0
 _AREA_TOL = 1e-14
@@ -38,7 +37,7 @@ class MeshConstructionError(Exception):
 
 
 class DomainError(ValueError):
-    """Raised when a query point lies outside the macro domain."""
+    """Raised when a cell parameter or the tiling count is out of range."""
 
 
 class UnitCellSpec:
@@ -125,7 +124,6 @@ class TemplateCell:
         self.boundary_edges = boundary_edges
         self.boundary_edge_class = boundary_edge_class
         self.side_vertices = side_vertices
-        self._locator = None
 
     @property
     def n_vertices(self):
@@ -173,11 +171,6 @@ class TemplateCell:
         lr = np.column_stack([self.side_vertices["left"], self.side_vertices["right"]])
         bt = np.column_stack([self.side_vertices["bottom"], self.side_vertices["top"]])
         return {"x": lr, "y": bt}
-
-    def locator(self):
-        if self._locator is None:
-            self._locator = _TriangleLocator(self.vertices, self.triangles)
-        return self._locator
 
 
 class PerforatedMesh:
@@ -816,95 +809,6 @@ def _validate_tiling(mesh):
                                     % (mesh.fluid_area, expected_fluid))
 
 
-class _TriangleLocator:
-    """Uniform bin grid over [0,1]^2 for point-in-triangle queries."""
-
-    def __init__(self, vertices, triangles, n_bins=None):
-        self.vertices = vertices
-        self.triangles = triangles
-        nt = triangles.shape[0]
-        if n_bins is None:
-            n_bins = max(8, int(math.sqrt(nt / 2.0)))
-        self.n_bins = n_bins
-        bins = [[] for _ in range(n_bins * n_bins)]
-        pts = vertices[triangles]  # (nt, 3, 2)
-        lo = np.clip(np.floor(pts.min(axis=1) * n_bins - 1e-12).astype(np.int64), 0, n_bins - 1)
-        hi = np.clip(np.floor(pts.max(axis=1) * n_bins + 1e-12).astype(np.int64), 0, n_bins - 1)
-        for t in range(nt):
-            for bi in range(lo[t, 0], hi[t, 0] + 1):
-                for bj in range(lo[t, 1], hi[t, 1] + 1):
-                    bins[bi * n_bins + bj].append(t)
-        self.bins = [np.array(sorted(b), dtype=np.int64) for b in bins]
-
-    def candidates(self, y):
-        nb = self.n_bins
-        bi = min(max(int(y[0] * nb), 0), nb - 1)
-        bj = min(max(int(y[1] * nb), 0), nb - 1)
-        return self.bins[bi * nb + bj]
-
-    def find(self, y, tol=1e-12):
-        """Lowest-index triangle containing y, or -1."""
-        for t in self.candidates(y):
-            if _bary_inside(self.vertices, self.triangles[t], y, tol):
-                return int(t)
-        # robust fallback: full scan with a looser tolerance
-        for t in range(self.triangles.shape[0]):
-            if _bary_inside(self.vertices, self.triangles[t], y, 1e-9):
-                return int(t)
-        return -1
-
-
-def _bary_inside(vertices, tri, y, tol):
-    p0, p1, p2 = vertices[tri[0]], vertices[tri[1]], vertices[tri[2]]
-    det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
-    if det == 0.0:
-        return False
-    l1 = ((y[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (y[1] - p0[1])) / det
-    l2 = ((p1[0] - p0[0]) * (y[1] - p0[1]) - (y[0] - p0[0]) * (p1[1] - p0[1])) / det
-    return l1 >= -tol and l2 >= -tol and (1.0 - l1 - l2) >= -tol
-
-
-def locate_phase(mesh, x):
-    """Phase marker ('fluid' or 'solid') of the triangle containing x.
-
-    Points on shared edges resolve to the lowest containing triangle index.
-    Raises :class:`DomainError` for points outside the closed unit square.
-    """
-    x0, x1 = float(x[0]), float(x[1])
-    tol = 1e-12
-    if not (-tol <= x0 <= 1.0 + tol and -tol <= x1 <= 1.0 + tol):
-        raise DomainError("point (%g, %g) outside the unit square" % (x0, x1))
-    n = mesh.n
-    loc = mesh.template.locator()
-    nt_t = mesh.template.n_triangles
-    # candidate cells: all cells whose closed square contains x (1, 2 or 4),
-    # visited in ascending cell index = ascending global triangle index
-    cand_a = _cells_containing(x0, n)
-    cand_b = _cells_containing(x1, n)
-    best = -1
-    for b in cand_b:
-        for a in cand_a:
-            y = (x0 * n - a, x1 * n - b)
-            t = loc.find(y)
-            if t >= 0:
-                gt = (b * n + a) * nt_t + t
-                if best < 0 or gt < best:
-                    best = gt
-    if best < 0:
-        raise DomainError("point (%g, %g) not located in any triangle" % (x0, x1))
-    return PHASE_NAMES[int(mesh.tri_phase[best])]
-
-
-def _cells_containing(coord, n):
-    c = coord * n
-    k = int(math.floor(c))
-    cells = []
-    for cand in (k - 1, k, k + 1):
-        if 0 <= cand < n and cand <= c + 1e-9 and c <= cand + 1 + 1e-9:
-            cells.append(cand)
-    return cells
-
-
 def dump_mesh(obj, path):
     """Write a mesh (TemplateCell or PerforatedMesh) as plain text.
 
@@ -924,64 +828,3 @@ def dump_mesh(obj, path):
         lines.append("eb %d %d %s" % (e[0], e[1], cls))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-class LoadedMesh:
-    """Plain container for a mesh read back from a dump file."""
-
-    def __init__(self, vertices, triangles, tri_phase, interface_edges,
-                 boundary_edges, boundary_edge_class):
-        self.vertices = vertices
-        self.triangles = triangles
-        self.tri_phase = tri_phase
-        self.interface_edges = interface_edges
-        self.boundary_edges = boundary_edges
-        self.boundary_edge_class = boundary_edge_class
-
-
-def load_mesh(path):
-    verts, tris, phases, iface, bedge, bclass = [], [], [], [], [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag == "v":
-                verts.append((float(parts[1]), float(parts[2])))
-            elif tag == "t":
-                tris.append((int(parts[1]), int(parts[2]), int(parts[3])))
-                phases.append(PHASE_CODES[parts[4]])
-            elif tag == "ei":
-                iface.append((int(parts[1]), int(parts[2])))
-            elif tag == "eb":
-                bedge.append((int(parts[1]), int(parts[2])))
-                bclass.append(FLUID if parts[3] == "fext" else SOLID)
-            else:
-                raise ValueError("unknown mesh record %r" % tag)
-    return LoadedMesh(
-        np.array(verts), np.array(tris, dtype=np.int64),
-        np.array(phases, dtype=np.int64),
-        np.array(iface, dtype=np.int64).reshape(-1, 2),
-        np.array(bedge, dtype=np.int64).reshape(-1, 2),
-        np.array(bclass, dtype=np.int64))
-
-
-def fluid_components(cell_or_mesh):
-    """Number of connected components of the fluid triangle adjacency graph."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    tris = cell_or_mesh.triangles[cell_or_mesh.tri_phase == FLUID]
-    if tris.shape[0] == 0:
-        return 0
-    ids = np.unique(tris)
-    remap = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
-    remap[ids] = np.arange(ids.shape[0])
-    t = remap[tris]
-    rows = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
-    cols = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-    g = coo_matrix((np.ones(rows.shape[0]), (rows, cols)),
-                   shape=(ids.shape[0], ids.shape[0]))
-    ncomp, _ = connected_components(g, directed=False)
-    return int(ncomp)

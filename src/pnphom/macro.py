@@ -3,8 +3,9 @@
 The fine-scale system homogenizes to constant-coefficient drift-diffusion
 on the full unit square: the time derivative and the charge density carry
 the porosity factor, species diffuse with the cell tensor, the drift is
-coupled through the drift tensor, and the interface nonlinearity collapses
-to a volume zeroth-order term weighted by the averaged surface factor.
+coupled through the drift tensor (equal to the cell tensor, see
+``effective``), and the interface nonlinearity collapses to a volume
+zeroth-order term weighted by the averaged surface factor.
 ``MacroProblem`` only assembles these operators (porosity, ``A_hom``,
 ``B_hom``, ``theta_eff``, ``s_bar``) and runs the fine solver's transport
 stepper (``micro._Transport``) on them, so conservation identities hold to
@@ -59,12 +60,6 @@ class MacroProblem(_Transport):
         p = self.params
         q = (p.z_plus * state.conc_plus - p.z_minus * state.conc_minus)
         return self.eff.theta * p.F_const * self.M_charge.matvec(q)
-
-
-def solve_macro(eff, params, mesh, initial_spec, gamma):
-    """One-call limit-model run; see MacroProblem.run."""
-    problem = MacroProblem(mesh, eff, params, gamma)
-    return problem.run(initial_spec)
 
 
 def equilibrium_residual(ledger, params):

@@ -43,7 +43,6 @@ from .fem import (
     newton_solve,
     quadrature,
     bicgstab_solve,
-    tri_gradient,
 )
 from .randomfield import eval_field_eps
 
@@ -506,25 +505,6 @@ class MicroProblem(_Transport):
         b = np.zeros(self.nv_global)
         b[self.fluid_ids] = q_f
         return b
-
-    def cfl_time_step(self, state):
-        """Lumped-mass / stiffness-diagonal ratio damped by the drift size.
-
-        Below this step the backward Euler transport matrix is strongly
-        diagonally dominant and undershoots stay near rounding level.
-        """
-        ratio = self.mass_vec / self.A_fluid.diagonal()
-        gradU = tri_gradient(self.fluid_vertices, self.fluid_tris,
-                             state.potential[self.fluid_ids])
-        gmax = float(np.linalg.norm(gradU, axis=1).max()) if len(gradU) else 0.0
-        z = max(self.params.z_plus, self.params.z_minus)
-        return float(ratio.min()) / (1.0 + self.params.c * z * gmax)
-
-
-def run(mesh, params, fields, omega, initial_spec):
-    """One-call fine-scale run; see MicroProblem.run."""
-    problem = MicroProblem(mesh, params, fields, omega)
-    return problem.run(initial_spec)
 
 
 def write_snapshot(path, mesh, fluid_ids, state):

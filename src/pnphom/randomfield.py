@@ -8,12 +8,9 @@ certified positive lower bound, so exact means and torus integrals are
 available in closed form.
 """
 
-import json
 import math
 
 import numpy as np
-
-from .geometry import DomainError, locate_phase
 
 
 def sample_omega(seed):
@@ -290,30 +287,3 @@ def eval_field_eps(field, omega, x, eps):
     w_arg = shift(omega, x / eps)
     y_arg = np.mod(x / (eps * eps), 1.0)
     return field.evaluate(w_arg, y_arg)
-
-
-def eval_theta_eps(rho_f, rho_s, mesh, omega, x, eps):
-    """Evaluate the phase-dispatched dielectric field at one point.
-
-    The phase is decided by the perforated mesh at scale eps; the smooth
-    factor is evaluated at (T(x/eps) w, x/eps^2) like every other
-    coefficient.
-    """
-    phase = locate_phase(mesh, x)
-    field = rho_f if phase == "fluid" else rho_s
-    return float(eval_field_eps(field, omega, np.asarray(x, dtype=float), eps))
-
-
-def load_field_bundle(path_or_dict):
-    """Read a set of named field definitions from JSON.
-
-    Accepts a path or an already-parsed dict mapping names to field
-    definitions, e.g. ``{"rho_f": {...}, "rho_s": {...}, "eta": {...}}``.
-    """
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
-        with open(path_or_dict) as fh:
-            data = json.load(fh)
-    return {name: CoefficientField.from_json_dict(d, name=name)
-            for name, d in data.items()}

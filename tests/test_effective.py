@@ -18,11 +18,11 @@ from pnphom.effective import (
     q1_periodic_solve,
     solve_dielectric_cells,
     solve_dielectric_single,
-    solve_drift_cell,
     solve_species_cell,
     surface_factor,
     _require_connected,
 )
+from pnphom.fem import tri_geometry, tri_gradient
 from pnphom.geometry import UnitCellSpec, build_template_cell
 from pnphom.micro import MicroCoefficients
 from pnphom.randomfield import CoefficientField, GammaFunction
@@ -97,50 +97,6 @@ def test_disconnected_region_rejected():
     tris = np.array([[0, 1, 2], [3, 4, 5]])
     with pytest.raises(CellSolveError):
         _require_connected(tris, 6)
-
-
-# ---------------------------------------------------------------------------
-# drift stage
-
-
-def test_drift_equals_species_without_fast_corrector(template):
-    sol, A = solve_species_cell(template)
-    dsol, B = solve_drift_cell(template, sol, None)
-    assert np.array_equal(B, A)
-
-
-def test_drift_absorbs_dielectric_corrector(template):
-    # the drift corrector can subtract the dielectric one inside the same
-    # discrete space, so the tensor coincides with the species tensor even
-    # for a y-varying dielectric coefficient
-    field = CoefficientField("rho", 2.0, y_modes=(((1, 0), 0.8),),
-                             floor=0.5)
-    wsol, _ = solve_dielectric_single(template, field, field, np.zeros(2))
-    grads = [wsol.corrector_gradients(k) for k in range(2)]
-    ssol, A = solve_species_cell(template)
-    dsol, B = solve_drift_cell(template, ssol, grads)
-    assert np.abs(B - A).max() <= 1e-12
-    assert max(dsol.residuals) <= 1e-10
-
-
-def test_drift_refined_mesh_oracle(coarse_template):
-    field = CoefficientField("rho", 2.0,
-                             y_modes=(((1, 0), 0.8), ((1, 1), 0.3)),
-                             floor=0.5)
-
-    def drift_tensor(tpl):
-        ssol, _ = solve_species_cell(tpl)
-        wsol, _ = solve_dielectric_single(tpl, field, field, np.zeros(2))
-        grads = [wsol.corrector_gradients(k) for k in range(2)]
-        _, B = solve_drift_cell(tpl, ssol, grads)
-        return B
-
-    B_coarse = drift_tensor(coarse_template)
-    fine = build_template_cell(UnitCellSpec(n_interface_segments=128,
-                                            target_edge_length=1.0 / 64))
-    B_fine = drift_tensor(fine)
-    rel = np.abs(B_coarse - B_fine).max() / np.abs(B_fine).max()
-    assert rel <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +363,9 @@ def test_each_cell_matrix_factored_once(coarse_template, monkeypatch):
     K = 4
     eff = compute_effective(coarse_template, general_fields(), K=K)
     assert eff.provenance["dielectric_mode"] == "general"
-    # species (shared with drift), one per stage-1 sample, one for stage 2
+    # species, one per stage-1 sample, one for stage 2; no drift stage
     assert calls == {"splu": K * K + 2, "single": K * K}
+    assert np.array_equal(eff.B_hom, eff.A_hom)
 
     calls.update(splu=0, single=0)
     eff = compute_effective(coarse_template, default_fields(), K=K)
@@ -416,41 +373,36 @@ def test_each_cell_matrix_factored_once(coarse_template, monkeypatch):
     assert calls == {"splu": 2, "single": 0}
 
 
-def test_drift_mean_drive_matches_per_sample_loop(coarse_template):
-    # reference: the drift tensor of every stage-1 sample, then the mean
+def _drift_quadrature(species_sol, wsol):
+    """T[j][k] = sum_T |T| (e_j + grad chi_j).(e_k + grad w_k) on Y_f."""
+    verts, tris = species_sol.vertices, species_sol.triangles
+    areas, _ = tri_geometry(verts, tris)
+    T = np.empty((2, 2))
+    for j in range(2):
+        flux_j = species_sol.corrector_gradients(j)
+        flux_j[:, j] += 1.0
+        for k in range(2):
+            w_k = wsol.correctors[k][species_sol.vertex_ids]
+            drive_k = tri_gradient(verts, tris, w_k)
+            drive_k[:, k] += 1.0
+            T[j, k] = float(np.sum(areas * np.sum(flux_j * drive_k, axis=1)))
+    return T
+
+
+def test_drift_identity_by_quadrature(template, coarse_template):
+    # the species corrector is orthogonal to every periodic P1 function on
+    # the fluid subcell, and the full-cell dielectric corrector restricted
+    # to the fluid is one, so the drift tensor is A_hom for any dielectric
+    # field
+    field = CoefficientField("rho", 2.0, y_modes=(((1, 0), 0.8),),
+                             floor=0.5)
+    species, A = solve_species_cell(template)
+    wsol, _ = solve_dielectric_single(template, field, field, np.zeros(2))
+    assert np.abs(_drift_quadrature(species, wsol) - A).max() <= 1e-13
+
     fields = general_fields()
-    K = 4
-    eff = compute_effective(coarse_template, fields, K=K)
     species, A = solve_species_cell(coarse_template)
-    centers = omega_grid_centers(K)
-    B_ref = np.zeros((2, 2))
-    for i in range(K):
-        for j in range(K):
-            wsol, _ = solve_dielectric_single(
-                coarse_template, fields.rho_f, fields.rho_s, centers[i, j])
-            grads = [wsol.corrector_gradients(k) for k in range(2)]
-            B_ref += solve_drift_cell(coarse_template, species, grads)[1]
-    B_ref /= K * K
-    assert np.abs(eff.B_hom - B_ref).max() <= 1e-13
-    # the fluid corrector absorbs any full-cell gradient, so these tensors
-    # equal A_hom; the linearity in the drive is checked on drives that
-    # are not gradients of periodic functions and give a non-diagonal
-    # tensor: constant shears plus a sample-dependent periodic field
-    assert np.abs(B_ref - A).max() <= 1e-12
-    n_tris = coarse_template.triangles.shape[0]
-    cy = coarse_template.vertices[coarse_template.triangles].mean(axis=1)
-    rng = np.random.default_rng(7)
-    drives = []
-    for _ in range(K * K):
-        a, b, c = rng.random(3)
-        g0 = np.zeros((n_tris, 2))
-        g0[:, 1] = a + c * np.sin(2.0 * np.pi * cy[:, 0])
-        g1 = np.zeros((n_tris, 2))
-        g1[:, 0] = b + c * np.cos(2.0 * np.pi * cy[:, 1])
-        drives.append([g0, g1])
-    tensors = [solve_drift_cell(coarse_template, species, g)[1]
-               for g in drives]
-    mean_drive = [sum(g[k] for g in drives) / (K * K) for k in range(2)]
-    B_mean = solve_drift_cell(coarse_template, species, mean_drive)[1]
-    assert abs(B_mean[0, 1]) > 0.1 and abs(B_mean[1, 0]) > 0.1
-    assert np.abs(B_mean - sum(tensors) / (K * K)).max() <= 1e-13
+    for omega in omega_grid_centers(4).reshape(-1, 2):
+        wsol, _ = solve_dielectric_single(coarse_template, fields.rho_f,
+                                          fields.rho_s, omega)
+        assert np.abs(_drift_quadrature(species, wsol) - A).max() <= 1e-13

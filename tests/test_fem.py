@@ -340,15 +340,6 @@ def test_sparse_matrix_symmetry_check():
     assert ok.shape == (2, 2)
 
 
-def test_sparse_matrix_dump(tmp_path):
-    A = SparseMatrix(sp.csr_matrix(np.array([[1.5, 0.0], [0.25, 2.0]])))
-    path = tmp_path / "mat.txt"
-    A.dump(path)
-    rows = [line.split() for line in open(path)]
-    assert ["0", "0", "1.5"] in rows
-    assert len(rows) == 3  # explicit zero dropped
-
-
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -371,8 +362,6 @@ def test_cg_tridiagonal_vs_dense():
     x_ref = np.linalg.solve(A.toarray(), b)
     res = cg_solve(SparseMatrix(A, symmetric=True), b, tol=1e-12)
     assert np.linalg.norm(res.x - x_ref) <= 1e-8
-    res_j = cg_solve(SparseMatrix(A, symmetric=True), b, tol=1e-12, jacobi=True)
-    assert np.linalg.norm(res_j.x - x_ref) <= 1e-8
 
 
 def test_cg_singular_incompatible():
@@ -392,7 +381,7 @@ def test_cg_deflated_neumann(fluid_template):
     rng = np.random.default_rng(3)
     b = rng.normal(size=A.shape[0])
     b -= b.mean()
-    res = cg_solve(A, b, tol=1e-11, deflate=True, jacobi=True)
+    res = cg_solve(A, b, tol=1e-11, deflate=True)
     assert res.converged
     assert abs(res.x.mean()) <= 1e-12
     r = b - A.matvec(res.x)
@@ -418,8 +407,6 @@ def test_bicgstab_nonsymmetric():
     x_ref = np.linalg.solve(A, b)
     res = bicgstab_solve(SparseMatrix(sp.csr_matrix(A)), b, tol=1e-12)
     assert np.linalg.norm(res.x - x_ref) <= 1e-8
-    res_j = bicgstab_solve(SparseMatrix(sp.csr_matrix(A)), b, tol=1e-12, jacobi=True)
-    assert np.linalg.norm(res_j.x - x_ref) <= 1e-8
 
 
 def test_bicgstab_failure():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from pnphom.geometry import (
     FLUID,
@@ -15,9 +17,6 @@ from pnphom.geometry import (
     UnitCellSpec,
     build_template_cell,
     dump_mesh,
-    fluid_components,
-    load_mesh,
-    locate_phase,
     tile_domain,
 )
 
@@ -177,34 +176,6 @@ def test_tiling_boundary_classes(coarse_cell):
         assert cls == 0  # all exterior edges adjoin fluid for this geometry
 
 
-def test_locate_phase_examples(coarse_cell):
-    mesh = tile_domain(coarse_cell, 2)
-    eps = mesh.epsilon
-    # center of each cell is inside the inclusion
-    for a in range(2):
-        for b in range(2):
-            x = (eps * (a + 0.5), eps * (b + 0.5))
-            assert locate_phase(mesh, x) == "solid"
-    # cell corners are fluid
-    assert locate_phase(mesh, (0.01 * eps, 0.01 * eps)) == "fluid"
-    assert locate_phase(mesh, (0.5, 0.5)) == "fluid"
-    with pytest.raises(DomainError):
-        locate_phase(mesh, (1.5, 0.5))
-    with pytest.raises(DomainError):
-        locate_phase(mesh, (-0.2, 0.2))
-
-
-def test_locate_phase_volume_fraction(coarse_cell):
-    mesh = tile_domain(coarse_cell, 2)
-    rng = np.random.default_rng(7)
-    pts = rng.random((10000, 2))
-    hits = sum(1 for x in pts if locate_phase(mesh, x) == "fluid")
-    frac = hits / len(pts)
-    theta = coarse_cell.porosity
-    stderr = math.sqrt(theta * (1 - theta) / len(pts))
-    assert abs(frac - theta) <= 3.0 * stderr
-
-
 def test_fluid_submesh(coarse_cell):
     mesh = tile_domain(coarse_cell, 2)
     fluid_ids, fluid_tris, g2l = mesh.fluid_submesh()
@@ -213,43 +184,41 @@ def test_fluid_submesh(coarse_cell):
     assert set(np.unique(fluid_tris)) == set(range(len(fluid_ids)))
     # round trip local -> global
     assert np.all(g2l[fluid_ids] == np.arange(len(fluid_ids)))
-    ncomp = fluid_components(mesh)
+    # the fluid phase is one connected region
+    t = fluid_tris
+    adjacency = sp.coo_matrix(
+        (np.ones(3 * len(t)),
+         (t.ravel(), np.roll(t, 1, axis=1).ravel())),
+        shape=(len(fluid_ids), len(fluid_ids)))
+    ncomp, _ = connected_components(adjacency, directed=False)
     assert ncomp == 1
 
 
-def test_dump_load_round_trip(coarse_cell, tmp_path):
+def test_dump_format(coarse_cell, tmp_path):
+    # the records read back give the mesh arrays exactly
     mesh = tile_domain(coarse_cell, 2)
     path = tmp_path / "mesh.txt"
     dump_mesh(mesh, path)
-    loaded = load_mesh(path)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert np.array_equal(loaded.triangles, mesh.triangles)
-    assert np.array_equal(loaded.tri_phase, mesh.tri_phase)
-    assert np.array_equal(loaded.interface_edges, mesh.interface_edges)
-    assert np.array_equal(loaded.boundary_edges, mesh.boundary_edges)
-    assert np.array_equal(loaded.boundary_edge_class, mesh.boundary_edge_class)
-
-
-def test_dump_format(coarse_cell, tmp_path):
-    mesh = tile_domain(coarse_cell, 1)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(mesh, path)
-    kinds = {"v": 0, "t": 0, "ei": 0, "eb": 0}
+    records = {"v": [], "t": [], "ei": [], "eb": []}
     with open(path) as fh:
         for line in fh:
             tok = line.split()
-            assert tok[0] in kinds
-            kinds[tok[0]] += 1
-            if tok[0] == "v":
-                float(tok[1]), float(tok[2])
-            elif tok[0] == "t":
-                assert tok[4] in ("fluid", "solid")
-            elif tok[0] == "eb":
-                assert tok[3] in ("fext", "sext")
-    assert kinds["v"] == len(mesh.vertices)
-    assert kinds["t"] == len(mesh.triangles)
-    assert kinds["ei"] == len(mesh.interface_edges)
-    assert kinds["eb"] == len(mesh.boundary_edges)
+            records[tok[0]].append(tok[1:])
+    assert set(records) == {"v", "t", "ei", "eb"}
+    v = np.array([[float(x) for x in r] for r in records["v"]])
+    assert np.array_equal(v, mesh.vertices)
+    t = records["t"]
+    assert np.array_equal(np.array([[int(x) for x in r[:3]] for r in t]),
+                          mesh.triangles)
+    phase = {"fluid": FLUID, "solid": SOLID}
+    assert np.array_equal([phase[r[3]] for r in t], mesh.tri_phase)
+    assert np.array_equal(np.array(records["ei"], dtype=np.int64),
+                          mesh.interface_edges)
+    eb = records["eb"]
+    assert np.array_equal(np.array([r[:2] for r in eb], dtype=np.int64),
+                          mesh.boundary_edges)
+    side = {"fext": FLUID, "sext": SOLID}
+    assert np.array_equal([side[r[2]] for r in eb], mesh.boundary_edge_class)
 
 
 def test_invalid_specs():

@@ -15,7 +15,6 @@ from pnphom.macro import (
     MacroProblem,
     equilibrium_residual,
     macro_mesh,
-    solve_macro,
 )
 from pnphom.micro import MicroCoefficients, MicroProblem, PnpParams
 from pnphom.randomfield import CoefficientField, GammaFunction
@@ -199,8 +198,8 @@ def test_pipeline_with_computed_coefficients():
     fields = MicroCoefficients(const2, const2, const1, gamma)
     eff = compute_effective(template, fields, K=8)
     mesh = macro_mesh(24)
-    snaps, ledger = solve_macro(eff, params(dt=0.02, t_final=0.06),
-                                mesh, (cosine_plus, 0.9), gamma)
+    snaps, ledger = MacroProblem(mesh, eff, params(dt=0.02, t_final=0.06),
+                                 gamma).run((cosine_plus, 0.9))
     assert ledger.max_mass_drift() <= 1e-12
     assert equilibrium_residual(ledger, params()) <= 1e-11
     assert len(snaps) >= 2

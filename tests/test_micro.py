@@ -17,7 +17,6 @@ from pnphom.micro import (
     MicroRunError,
     MicroState,
     PnpParams,
-    run,
     write_snapshot,
 )
 from pnphom.randomfield import CoefficientField, GammaFunction, sample_omega
@@ -232,21 +231,6 @@ def test_upwind_flag_preserves_mass(coarse_mesh):
     assert ledger.charge_identity_residuals(params).max() <= 1e-10
 
 
-def test_cfl_step_controls_undershoot(coarse_mesh):
-    prob = MicroProblem(coarse_mesh, PnpParams(), wiggly_fields(),
-                        sample_omega(6).omega)
-    state = prob.initial_condition((bump, 0.9))
-    dt_cfl = prob.cfl_time_step(state)
-    assert dt_cfl > 0.0
-    dt = dt_cfl * 0.9
-    params = PnpParams(dt=dt, t_final=3 * dt)
-    prob2 = MicroProblem(coarse_mesh, params, wiggly_fields(),
-                         sample_omega(6).omega)
-    snaps, ledger = prob2.run((bump, 0.9))
-    assert ledger.column("min_conc").min() >= -1e-8
-    assert not ledger.flags
-
-
 # ---------------------------------------------------------------------------
 # full runs and the ledger
 
@@ -305,16 +289,16 @@ def test_every_lu_orders_by_minimum_degree(coarse_mesh, monkeypatch):
 
 def test_run_zero_horizon(coarse_mesh):
     params = PnpParams(dt=0.02, t_final=0.0)
-    snaps, ledger = run(coarse_mesh, params, constant_fields(),
-                        sample_omega(0).omega, (1.0, 1.0))
+    snaps, ledger = MicroProblem(coarse_mesh, params, constant_fields(),
+                                 sample_omega(0).omega).run((1.0, 1.0))
     assert len(snaps) == 1
     assert len(ledger.rows) == 1
     assert snaps[0].t == 0.0
 
 
 def test_run_equilibrium_constants(coarse_mesh):
-    snaps, ledger = run(coarse_mesh, PnpParams(), constant_fields(),
-                        sample_omega(0).omega, (1.0, 1.0))
+    snaps, ledger = MicroProblem(coarse_mesh, PnpParams(), constant_fields(),
+                                 sample_omega(0).omega).run((1.0, 1.0))
     masses = ledger.column("mass_plus")
     assert np.abs(masses - masses[0]).max() <= 1e-10 * masses[0]
     assert ledger.max_pi_drift() <= 1e-9
@@ -343,6 +327,8 @@ def test_run_conservation_suite(coarse_mesh):
         assert ledger.max_mass_drift() <= 1e-8
         assert ledger.max_pi_drift() <= 1e-7
         assert ledger.charge_identity_residuals(params).max() <= 1e-8
+        assert ledger.column("min_conc").min() >= -1e-8
+        assert not ledger.flags
         assert len(ledger.rows) == params.n_steps() + 1
         assert len(snaps) == params.n_outputs + 1
         assert all(r["gummel_iters"] >= 1 for r in ledger.rows[1:])
@@ -372,8 +358,8 @@ def test_run_determinism(coarse_mesh, tmp_path):
 
 
 def test_run_r0_neutral_exact(square_mesh):
-    snaps, ledger = run(square_mesh, PnpParams(), constant_fields(),
-                        sample_omega(0).omega, (1.0, 1.0))
+    snaps, ledger = MicroProblem(square_mesh, PnpParams(), constant_fields(),
+                                 sample_omega(0).omega).run((1.0, 1.0))
     final = snaps[-1]
     assert np.abs(final.conc_plus - 1.0).max() == 0.0
     assert np.abs(final.potential).max() == 0.0

@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pnphom.geometry import DomainError, UnitCellSpec, build_template_cell, tile_domain
 from pnphom.randomfield import (
     CoefficientField,
     GammaFunction,
     TorusShift,
     eval_field_eps,
-    eval_theta_eps,
-    load_field_bundle,
     sample_omega,
     shift,
 )
@@ -173,32 +170,6 @@ def test_field_json_round_trip():
     f2 = CoefficientField.from_json_dict(out)
     assert f2.evaluate(np.array([0.3, 0.6]), np.array([0.1, 0.9])) == pytest.approx(
         f.evaluate(np.array([0.3, 0.6]), np.array([0.1, 0.9])), abs=1e-15)
-
-
-def test_load_field_bundle():
-    bundle = load_field_bundle({
-        "rho_f": {"base": 1.0},
-        "rho_s": {"base": 2.0, "floor": 1.5, "y_modes": [[[1, 0], 0.5]]},
-    })
-    assert set(bundle) == {"rho_f", "rho_s"}
-    assert bundle["rho_f"].is_constant()
-
-
-def test_theta_eps_dispatch():
-    spec = UnitCellSpec(n_interface_segments=32, target_edge_length=1.0 / 8)
-    cell = build_template_cell(spec)
-    mesh = tile_domain(cell, 2)
-    rho_f = CoefficientField.constant(1.0, name="rho_f")
-    rho_s = CoefficientField.constant(5.0, name="rho_s")
-    w = np.array([0.3, 0.3])
-    # cell center is solid, corner region is fluid
-    assert eval_theta_eps(rho_f, rho_s, mesh, w, (0.25, 0.25), 0.5) == 5.0
-    assert eval_theta_eps(rho_f, rho_s, mesh, w, (0.01, 0.01), 0.5) == 1.0
-    with pytest.raises(DomainError):
-        eval_theta_eps(rho_f, rho_s, mesh, w, (1.2, 0.5), 0.5)
-    # constant equal fields are phase independent
-    c = CoefficientField.constant(3.0)
-    assert eval_theta_eps(c, c, mesh, w, (0.7, 0.2), 0.5) == 3.0
 
 
 def test_gamma_linear():
