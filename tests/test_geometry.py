@@ -194,7 +194,7 @@ def test_fluid_submesh(coarse_cell):
     assert ncomp == 1
 
 
-def test_dump_format(coarse_cell, tmp_path):
+def test_dump_load_round_trip(coarse_cell, tmp_path):
     # the records read back give the mesh arrays exactly
     mesh = tile_domain(coarse_cell, 2)
     path = tmp_path / "mesh.txt"
@@ -219,6 +219,28 @@ def test_dump_format(coarse_cell, tmp_path):
                           mesh.boundary_edges)
     side = {"fext": FLUID, "sext": SOLID}
     assert np.array_equal([side[r[2]] for r in eb], mesh.boundary_edge_class)
+
+
+def test_dump_format(coarse_cell, tmp_path):
+    mesh = tile_domain(coarse_cell, 1)
+    path = tmp_path / "mesh.txt"
+    dump_mesh(mesh, path)
+    kinds = {"v": 0, "t": 0, "ei": 0, "eb": 0}
+    with open(path) as fh:
+        for line in fh:
+            tok = line.split()
+            assert tok[0] in kinds
+            kinds[tok[0]] += 1
+            if tok[0] == "v":
+                float(tok[1]), float(tok[2])
+            elif tok[0] == "t":
+                assert tok[4] in ("fluid", "solid")
+            elif tok[0] == "eb":
+                assert tok[3] in ("fext", "sext")
+    assert kinds["v"] == len(mesh.vertices)
+    assert kinds["t"] == len(mesh.triangles)
+    assert kinds["ei"] == len(mesh.interface_edges)
+    assert kinds["eb"] == len(mesh.boundary_edges)
 
 
 def test_invalid_specs():
