@@ -9,9 +9,10 @@ effective  cell problems and effective coefficients -> effective.json
 macro      one limit-model run
 sweep      full fine-vs-limit error sweep with plot data
 
-All subcommands share --config/--out/--seed/--threads/--deterministic.
-Outputs are plain CSV/TSV/JSON files in the --out directory; with
---deterministic (the default) repeated runs are byte-identical.
+All subcommands share --config/--out/--seed; sweep also takes --threads
+and --deterministic.  Outputs are plain CSV/TSV/JSON files in the --out
+directory, and repeated runs are byte-identical (for sweep, with
+--deterministic, the default).
 """
 
 import argparse
@@ -41,15 +42,6 @@ def _add_common(sub):
                      help="output directory, created if missing")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the config seed")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent runs; faster "
-                          "only when OMP_NUM_THREADS, OPENBLAS_NUM_THREADS "
-                          "and MKL_NUM_THREADS are set to 1, no gain at "
-                          "default BLAS threading")
-    sub.add_argument("--deterministic",
-                     action=argparse.BooleanOptionalAction, default=True,
-                     help="zero out wall-clock columns so reruns are "
-                          "byte-identical (timings go to a JSON sidecar)")
 
 
 def build_parser():
@@ -83,6 +75,15 @@ def build_parser():
 
     p = subs.add_parser("sweep", help="fine-vs-limit error sweep")
     _add_common(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for independent runs; faster "
+                        "only when OMP_NUM_THREADS, OPENBLAS_NUM_THREADS "
+                        "and MKL_NUM_THREADS are set to 1, no gain at "
+                        "default BLAS threading")
+    p.add_argument("--deterministic",
+                   action=argparse.BooleanOptionalAction, default=True,
+                   help="zero out wall-clock columns so reruns are "
+                        "byte-identical (timings go to a JSON sidecar)")
     return parser
 
 

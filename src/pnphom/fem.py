@@ -1,20 +1,17 @@
 """Sparse P1 finite-element kernels shared by every solver in the package.
 
-Provides reference quadrature rules, vectorized assembly of stiffness, mass,
-and interface-trace load terms on triangle meshes, deterministic conjugate
-gradient and BiCGStab solvers with optional Jacobi preconditioning and
-constant deflation, and a damped Newton driver for the nonlinear interface
-term.  Matrices are stored in compressed sparse row form via scipy.
+Quadrature rules; vectorized assembly of stiffness and mass matrices (as
+canonical scipy CSR matrices), of drift matrices on a fixed mesh pattern
+and of interface-trace loads; the sparse LU; CG and BiCGStab through
+``scipy.sparse.linalg`` with iteration counts and constant deflation; and
+a damped Newton driver for the nonlinear interface term.
 """
 
-import logging
 import math
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-log = logging.getLogger(__name__)
 
 
 class AssemblyError(RuntimeError):
@@ -195,57 +192,20 @@ def _eval_coefficient(coefficient, pts):
 
 
 # ---------------------------------------------------------------------------
-# sparse matrix wrapper
-
-
-class SparseMatrix:
-    """Square CSR matrix with optional symmetry certification."""
-
-    def __init__(self, csr, symmetric=False):
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        self.csr = csr
-        self.shape = csr.shape
-        self.symmetric = bool(symmetric)
-        if self.symmetric:
-            gap = abs(csr - csr.T)
-            err = gap.max() if gap.nnz else 0.0
-            if err > 1e-12:
-                raise AssemblyError(
-                    "matrix flagged symmetric but |A - A^T| = %.3e" % err)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, n, symmetric=False):
-        csr = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(csr, symmetric=symmetric)
-
-    def matvec(self, x):
-        return self.csr.dot(x)
-
-    def diagonal(self):
-        return self.csr.diagonal()
-
-    def row_sums(self):
-        return np.asarray(self.csr.sum(axis=1)).ravel()
-
-    def add(self, other, symmetric=None):
-        if symmetric is None:
-            symmetric = self.symmetric and other.symmetric
-        return SparseMatrix(self.csr + other.csr, symmetric=symmetric)
-
-    def total(self):
-        return float(self.csr.sum())
-
-    def __repr__(self):
-        return "SparseMatrix(%dx%d, nnz=%d%s)" % (
-            self.shape[0], self.shape[1], self.csr.nnz,
-            ", symmetric" if self.symmetric else "")
-
-
-# ---------------------------------------------------------------------------
 # assembly
+
+
+def _sum_local(triangles, local, nv):
+    """Sum (nt, 3, 3) element matrices into a canonical nv x nv CSR matrix.
+
+    Entries summing to zero are dropped, so the LU orderings never see them.
+    """
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
+    csr = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    return csr
 
 
 def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None):
@@ -262,8 +222,9 @@ def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None
 
     Returns
     -------
-    SparseMatrix, symmetric positive semidefinite with constants in the
-    kernel before any boundary handling.
+    scipy CSR matrix, symmetric positive semidefinite with constants in
+    the kernel before any boundary handling.  A tensor coefficient whose
+    quadrature values are not symmetric raises AssemblyError.
     """
     triangles = np.asarray(triangles)
     if triangles.shape[0] == 0:
@@ -285,6 +246,11 @@ def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None
         vals, is_tensor = _eval_coefficient(coefficient, pts.reshape(-1, 2))
         if is_tensor:
             tens = vals.reshape(nt, nq, 2, 2)
+            skew = np.abs(tens - tens.swapaxes(2, 3)).max()
+            if skew > 1e-12:
+                raise AssemblyError(
+                    "tensor coefficient is not symmetric: |a - a^T| = %.3e"
+                    % skew)
             weighted = np.einsum("tq,tqde->tde", wts, tens)
             local = np.einsum("tid,tde,tje->tij", grads, weighted, grads)
         else:
@@ -292,16 +258,15 @@ def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None
             csum = np.einsum("tq,tq->t", wts, scal)
             local = np.einsum("tid,tjd->tij", grads, grads) * csum[:, None, None]
 
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    return SparseMatrix.from_coo(rows, cols, local.ravel(), nv, symmetric=True)
+    return _sum_local(triangles, local, nv)
 
 
 def assemble_mass(vertices, triangles, lumped=False, coefficient=None,
                   rule=None, nv=None):
     """Assemble the P1 mass matrix, optionally row-lumped or weighted.
 
-    The entries of the unweighted matrix sum to the region area exactly.
+    Returns a scipy CSR matrix.  The entries of the unweighted matrix sum to
+    the region area exactly.
     """
     triangles = np.asarray(triangles)
     if triangles.shape[0] == 0:
@@ -331,9 +296,7 @@ def assemble_mass(vertices, triangles, lumped=False, coefficient=None,
 
     if lumped:
         local = np.zeros_like(local) + np.eye(3)[None, :, :] * local.sum(axis=2)[:, :, None]
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    return SparseMatrix.from_coo(rows, cols, local.ravel(), nv, symmetric=True)
+    return _sum_local(triangles, local, nv)
 
 
 def tri_gradient(vertices, triangles, values):
@@ -505,156 +468,82 @@ def _splu(matrix):
     return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
 
 
-def _as_operator(A):
-    if isinstance(A, SparseMatrix):
-        return A.csr
-    return A
+def _krylov(name, A, b, tol, max_iter, x0, deflate, raise_on_fail, precond):
+    """Run scipy's ``cg`` or ``bicgstab`` and wrap the outcome.
+
+    The preconditioner is applied through an operator that counts its calls:
+    CG applies it once per iteration, BiCGStab twice, and once in a final
+    half step, which counts as an iteration.  With ``deflate=True`` the
+    operator and the preconditioner both project onto the mean-zero
+    subspace.  The reported residual is the true ||b - A x|| / ||b||.
+    """
+    n = A.shape[0]
+    b = np.asarray(b, dtype=float)
+    if max_iter is None:
+        max_iter = max(1000, 10 * n)
+    project = (lambda v: v - v.mean()) if deflate else (lambda v: v)
+    b = project(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return SolveResult(np.zeros(n), 0, 0.0, True)
+    if x0 is not None:
+        x0 = project(np.asarray(x0, dtype=float))
+    calls = 0
+
+    def apply_precond(r):
+        nonlocal calls
+        calls += 1
+        return project(r if precond is None else precond(r))
+
+    op = A
+    if deflate:
+        op = spla.LinearOperator(A.shape, matvec=lambda v: project(A @ v),
+                                 dtype=float)
+    M = spla.LinearOperator(A.shape, matvec=apply_precond, dtype=float)
+    solver = spla.cg if name == "cg" else spla.bicgstab
+    # a singular system can divide by zero; the residual below reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, info = solver(op, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+                         M=M)
+        x = project(x)
+        res = float(np.linalg.norm(b - op @ x)) / bnorm
+    if not math.isfinite(res):
+        res = math.inf
+    it = calls if name == "cg" else (calls + 1) // 2
+    # scipy's breakdown thresholds are absolute, so an early exit (info < 0)
+    # is judged by its true residual
+    converged = info == 0 or res <= tol
+    if not converged and raise_on_fail:
+        raise ConvergenceFailure(
+            "%s failed: residual %.3e after %d iterations" % (name, res, it),
+            res, it, x)
+    return SolveResult(x, it, res, converged)
 
 
 def cg_solve(A, b, tol=1e-11, max_iter=None, x0=None, deflate=False,
              raise_on_fail=True, precond=None):
     """Conjugate gradients for symmetric positive (semi)definite systems.
 
-    Deterministic: fixed iteration order, plain numpy reductions.  With
-    ``deflate=True`` the solve is performed in the mean-zero subspace,
-    which handles the pure-Neumann kernel of constants; the right-hand
-    side is projected and the returned solution has zero mean.  A custom
-    symmetric positive preconditioner may be passed as ``precond``, a
-    callable r -> z.
+    With ``deflate=True`` the solve runs in the mean-zero subspace, which
+    handles the pure-Neumann kernel of constants: the right-hand side is
+    projected and the solution has zero mean.  ``precond`` is an optional
+    symmetric positive preconditioner, a callable r -> z.
 
     Returns a SolveResult; raises ConvergenceFailure when the iteration
     budget is exhausted (unless raise_on_fail is False).
     """
-    A = _as_operator(A)
-    n = A.shape[0]
-    b = np.asarray(b, dtype=float)
-    if max_iter is None:
-        max_iter = max(1000, 10 * n)
-    if deflate:
-        b = b - b.mean()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return SolveResult(np.zeros(n), 0, 0.0, True)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if deflate and x0 is not None:
-        x = x - x.mean()
-    r = b - A.dot(x)
-    if deflate:
-        r = r - r.mean()
-
-    def _z(rv):
-        if precond is None:
-            return rv
-        zv = precond(rv)
-        if deflate:
-            zv = zv - zv.mean()
-        return zv
-
-    z = _z(r)
-    p = z.copy()
-    rz = float(r.dot(z))
-    res = np.linalg.norm(r) / bnorm
-    it = 0
-    while res > tol and it < max_iter:
-        Ap = A.dot(p)
-        if deflate:
-            Ap = Ap - Ap.mean()
-        pAp = float(p.dot(Ap))
-        if pAp <= 0.0:
-            # breakdown: p in the kernel (singular system) or indefinite A
-            if raise_on_fail:
-                raise ConvergenceFailure(
-                    "cg breakdown: curvature %.3e at residual %.3e" % (pAp, res),
-                    res, it, x)
-            return SolveResult(x, it, res, False)
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        if deflate:
-            r = r - r.mean()
-        z = _z(r)
-        rz_new = float(r.dot(z))
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
-        res = np.linalg.norm(r) / bnorm
-        it += 1
-    if deflate:
-        x = x - x.mean()
-    if res > tol:
-        if raise_on_fail:
-            raise ConvergenceFailure(
-                "cg failed: residual %.3e after %d iterations" % (res, it),
-                res, it, x)
-        return SolveResult(x, it, res, False)
-    return SolveResult(x, it, res, True)
+    return _krylov("cg", A, b, tol, max_iter, x0, deflate, raise_on_fail,
+                   precond)
 
 
 def bicgstab_solve(A, b, tol=1e-11, max_iter=None, x0=None,
                    raise_on_fail=True, precond=None):
-    """BiCGStab for general square systems; deterministic like cg_solve.
+    """BiCGStab for general square systems; same contract as cg_solve.
 
     ``precond`` is a callable v -> z applied as a right preconditioner.
     """
-    A = _as_operator(A)
-    n = A.shape[0]
-    b = np.asarray(b, dtype=float)
-    if max_iter is None:
-        max_iter = max(1000, 10 * n)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return SolveResult(np.zeros(n), 0, 0.0, True)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-
-    def prec(v):
-        return v if precond is None else precond(v)
-
-    r = b - A.dot(x)
-    rhat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
-    res = np.linalg.norm(r) / bnorm
-    it = 0
-    while res > tol and it < max_iter:
-        rho_new = float(rhat.dot(r))
-        if rho_new == 0.0:
-            break
-        beta = (rho_new / rho) * (alpha / omega)
-        rho = rho_new
-        p = r + beta * (p - omega * v)
-        phat = prec(p)
-        v = A.dot(phat)
-        denom = float(rhat.dot(v))
-        if denom == 0.0:
-            break
-        alpha = rho / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) / bnorm <= tol:
-            x = x + alpha * phat
-            r = s
-            res = np.linalg.norm(r) / bnorm
-            it += 1
-            break
-        shat = prec(s)
-        t = A.dot(shat)
-        tt = float(t.dot(t))
-        if tt == 0.0:
-            break
-        omega = float(t.dot(s)) / tt
-        x = x + alpha * phat + omega * shat
-        r = s - omega * t
-        res = np.linalg.norm(r) / bnorm
-        it += 1
-        if omega == 0.0:
-            break
-    if res > tol:
-        if raise_on_fail:
-            raise ConvergenceFailure(
-                "bicgstab failed: residual %.3e after %d iterations" % (res, it),
-                res, it, x)
-        return SolveResult(x, it, res, False)
-    return SolveResult(x, it, res, True)
+    return _krylov("bicgstab", A, b, tol, max_iter, x0, False, raise_on_fail,
+                   precond)
 
 
 def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25,

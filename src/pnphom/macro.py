@@ -44,7 +44,7 @@ class MacroProblem(_Transport):
         v = mesh.vertices
         t = mesh.triangles
         self.M_charge = assemble_mass(v, t)
-        mass_vec = self.M_charge.row_sums()
+        mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
         self._setup(params, gamma, v, t, np.arange(v.shape[0]),
                     eff.theta * mass_vec,
                     assemble_stiffness(v, t, coefficient=eff.A_hom),
@@ -59,7 +59,7 @@ class MacroProblem(_Transport):
     def charge_rhs(self, state):
         p = self.params
         q = (p.z_plus * state.conc_plus - p.z_minus * state.conc_minus)
-        return self.eff.theta * p.F_const * self.M_charge.matvec(q)
+        return self.eff.theta * p.F_const * (self.M_charge @ q)
 
 
 def equilibrium_residual(ledger, params):

@@ -209,16 +209,6 @@ class MicroRunError(RuntimeError):
         self.snapshots = snapshots
 
 
-class _LuPrecond:
-    """Sparse LU of a fixed operator, used as solver or preconditioner."""
-
-    def __init__(self, matrix):
-        self.lu = _splu(matrix)
-
-    def __call__(self, r):
-        return self.lu.solve(r)
-
-
 class _Transport:
     """Nernst-Planck transport coupled to a Poisson equation with a surface
     term, stepped by backward Euler with Gummel coupling.
@@ -258,19 +248,19 @@ class _Transport:
         scale, vec = surface
         self.has_surface = scale > 0.0 and bool(np.any(vec))
 
-        A = A_poisson.csr
+        A = A_poisson
         self._poisson_direct = None
         self._poisson_prec = None
         if not self.has_surface:
             # pure Neumann problem: regularize the preconditioner only
             reg = np.full(A.shape[0], 1e-8 * max(A.diagonal().max(), 1.0))
-            self._poisson_prec = _LuPrecond(A + sp.diags(reg))
+            self._poisson_prec = _splu(A + sp.diags(reg)).solve
         elif gamma.kind == "linear":
-            self._poisson_direct = _LuPrecond(
-                A + sp.diags(scale * gamma.alpha * vec))
+            self._poisson_direct = _splu(
+                A + sp.diags(scale * gamma.alpha * vec)).solve
         else:
             slope = gamma.derivative(0.0)
-            self._poisson_prec = _LuPrecond(A + sp.diags(scale * slope * vec))
+            self._poisson_prec = _splu(A + sp.diags(scale * slope * vec)).solve
         # the species matrices diag(weights)/dt + D A_species on the fixed
         # pattern the drift term is filled into; one LU per distinct D
         self._pattern = MeshPattern(vertices, triangles)
@@ -279,9 +269,9 @@ class _Transport:
         self._np_prec = {}
         lus = {}
         for s, D in ((+1, params.D_plus), (-1, params.D_minus)):
-            B = dtm + D * A_species.csr
+            B = dtm + D * A_species
             if D not in lus:
-                lus[D] = _LuPrecond(B)
+                lus[D] = _splu(B).solve
             self._np_prec[s] = lus[D]
             self._np_base[s] = self._pattern.data_of(B)
 
@@ -350,10 +340,10 @@ class _Transport:
             w = scale * vec
 
             def residual(u):
-                return A.matvec(u) + w * gamma(u) - b
+                return A @ u + w * gamma(u) - b
 
             def solve_linearized(u, F):
-                J = A.csr + sp.diags(w * gamma.derivative(u))
+                J = A + sp.diags(w * gamma.derivative(u))
                 return cg_solve(J, F, tol=tol, precond=self._poisson_prec,
                                 max_iter=5000).x
 
@@ -390,7 +380,7 @@ class _Transport:
                 if p.upwind:
                     kd = kd + pattern.upwind_laplacian(kd)
                 B = pattern.matrix(self._np_base[s] + kd)
-                rhs = -(D * self._A_species.matvec(u_old[s])
+                rhs = -(D * (self._A_species @ u_old[s])
                         + pattern.matrix(kd).dot(u_old[s]))
                 res = bicgstab_solve(B, rhs, tol=p.linear_tol,
                                      precond=self._np_prec[s],
@@ -475,9 +465,9 @@ class MicroProblem(_Transport):
         A = assemble_stiffness(mesh.vertices, tris_f,
                                coefficient=field_on(fields.rho_f), nv=nv)
         if tris_s.shape[0] > 0:
-            A = A.add(assemble_stiffness(mesh.vertices, tris_s,
-                                         coefficient=field_on(fields.rho_s),
-                                         nv=nv))
+            A = A + assemble_stiffness(mesh.vertices, tris_s,
+                                       coefficient=field_on(fields.rho_s),
+                                       nv=nv)
         self.A_theta = A
 
         self.surface_w = assemble_interface_load(
@@ -487,7 +477,7 @@ class MicroProblem(_Transport):
 
         self.A_fluid = assemble_stiffness(self.fluid_vertices, self.fluid_tris)
         self.M_charge = assemble_mass(self.fluid_vertices, self.fluid_tris)
-        self.mass_vec = self.M_charge.row_sums()
+        self.mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
         self._setup(params, fields.gamma, self.fluid_vertices,
                     self.fluid_tris, self.fluid_ids, self.mass_vec,
                     self.A_fluid, None, self.A_theta,
@@ -500,8 +490,8 @@ class MicroProblem(_Transport):
 
     def charge_rhs(self, state):
         p = self.params
-        q_f = p.F_const * (p.z_plus * self.M_charge.matvec(state.conc_plus)
-                           - p.z_minus * self.M_charge.matvec(state.conc_minus))
+        q_f = p.F_const * (p.z_plus * (self.M_charge @ state.conc_plus)
+                           - p.z_minus * (self.M_charge @ state.conc_minus))
         b = np.zeros(self.nv_global)
         b[self.fluid_ids] = q_f
         return b

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .effective import compute_effective
 from .geometry import build_template_cell, tile_domain
-from .macro import MacroProblem, macro_mesh
+from .macro import MacroProblem, equilibrium_residual, macro_mesh
 from .micro import MicroProblem, MicroRunError
 from .randomfield import sample_omega
 
@@ -130,8 +130,7 @@ class MacroReference:
         self._origin = verts[self._triangles[:, 0]]
         edges = verts[self._triangles[:, 1:]] - self._origin[:, None, :]
         self._inverse = np.linalg.inv(edges.transpose(0, 2, 1))
-        self.equilibrium_residual = float(
-            ledger.charge_identity_residuals(params).max())
+        self.equilibrium_residual = equilibrium_residual(ledger, params)
 
     def interpolation_matrix(self, points):
         """Sparse (n_points, n_vertices) matrix of P1 barycentric weights.

@@ -197,6 +197,15 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--no-deterministic"]])
+def test_sweep_only_flags_rejected_elsewhere(small_cfg, tmp_path, flag):
+    # only sweep reads --threads and --deterministic
+    with pytest.raises(SystemExit) as err:
+        run_cli(["micro", "--config", small_cfg,
+                 "--out", str(tmp_path / "o")] + flag)
+    assert err.value.code == 2
+
+
 def test_no_deterministic_flag(small_cfg, tmp_path):
     out = str(tmp_path / "sweepnd")
     rc = run_cli(["sweep", "--config", small_cfg, "--out", out,

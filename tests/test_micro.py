@@ -166,7 +166,7 @@ def test_poisson_manufactured_convergence():
         pot = state.potential - state.potential.mean()
         ref = exact - exact.mean()
         err = pot - ref
-        errors.append(math.sqrt(err.dot(M.matvec(err))))
+        errors.append(math.sqrt(err.dot(M @ err)))
     assert errors[0] / errors[1] > 3.0
     assert errors[1] / errors[2] > 3.0
     assert errors[2] < 2e-3
@@ -196,9 +196,9 @@ def test_zero_drift_matches_diffusion_oracle(coarse_mesh):
                         sample_omega(4).omega)
     snaps, ledger = prob.run((bump, bump))
     B_plus = (sp.diags(prob.mass_vec) / params.dt
-              + params.D_plus * prob.A_fluid.csr)
+              + params.D_plus * prob.A_fluid)
     B_minus = (sp.diags(prob.mass_vec) / params.dt
-               + params.D_minus * prob.A_fluid.csr)
+               + params.D_minus * prob.A_fluid)
     lu_p = spla.splu(B_plus.tocsc())
     lu_m = spla.splu(B_minus.tocsc())
     u_p = snaps[0].conc_plus.copy()
