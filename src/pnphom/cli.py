@@ -168,7 +168,7 @@ def cmd_micro(args):
             write_snapshot(os.path.join(args.out, "micro_final_%s.csv"
                                         % tag),
                            mesh, problem.fluid_ids, snapshots[-1])
-            resid = ledger.charge_identity_residuals(cfg.pnp).max()
+            resid = equilibrium_residual(ledger, cfg.pnp)
             print("%s: mass drift %.3e, pi drift %.3e, identity %.3e, "
                   "min conc %.3e"
                   % (tag, ledger.max_mass_drift(), ledger.max_pi_drift(),

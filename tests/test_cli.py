@@ -197,7 +197,8 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--no-deterministic"]])
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--no-deterministic"]],
+                         ids=["threads", "no_deterministic"])
 def test_sweep_only_flags_rejected_elsewhere(small_cfg, tmp_path, flag):
     # only sweep reads --threads and --deterministic
     with pytest.raises(SystemExit) as err:
