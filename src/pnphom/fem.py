@@ -4,7 +4,7 @@ Quadrature rules; vectorized assembly of stiffness and mass matrices (as
 canonical scipy CSR matrices), of drift matrices on a fixed mesh pattern
 and of interface-trace loads; the sparse LU; CG and BiCGStab through
 ``scipy.sparse.linalg`` with iteration counts and constant deflation; and
-a damped Newton driver for the nonlinear interface term.
+a damped Newton iteration for the nonlinear interface term.
 """
 
 import math
