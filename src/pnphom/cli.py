@@ -9,10 +9,10 @@ effective  cell problems and effective coefficients -> effective.json
 macro      one limit-model run
 sweep      full fine-vs-limit error sweep with plot data
 
-All subcommands share --config/--out/--seed; sweep also takes --threads
-and --deterministic.  Outputs are plain CSV/TSV/JSON files in the --out
-directory, and repeated runs are byte-identical (for sweep, with
---deterministic, the default).
+All subcommands share --config/--out/--seed; sweep also takes --threads.
+Outputs are plain CSV/TSV/JSON files in the --out directory, and repeated
+runs are byte-identical, except for sweep_timings.json, which holds the
+wall-clock seconds of each sweep run.
 """
 
 import argparse
@@ -80,10 +80,6 @@ def build_parser():
                         "only when OMP_NUM_THREADS, OPENBLAS_NUM_THREADS "
                         "and MKL_NUM_THREADS are set to 1, no gain at "
                         "default BLAS threading")
-    p.add_argument("--deterministic",
-                   action=argparse.BooleanOptionalAction, default=True,
-                   help="zero out wall-clock columns so reruns are "
-                        "byte-identical (timings go to a JSON sidecar)")
     return parser
 
 
@@ -221,8 +217,7 @@ def cmd_macro(args):
 def cmd_sweep(args):
     cfg = _prepare(args)
     try:
-        report, timings = run_sweep(cfg, threads=max(1, args.threads),
-                                    deterministic=args.deterministic)
+        report, timings = run_sweep(cfg, threads=max(1, args.threads))
     except MicroRunError as exc:
         # fine-run failures are reported per row; this one is the limit model
         log.error("limit model failed: %s", exc)

@@ -15,7 +15,8 @@ The schema, with defaults in parentheses:
   seed: base seed (0)
   K: sample-stage grid resolution (32)
   macro_resolution: unperforated macro mesh resolution (96)
-  twoscale: M (64), eps_list ([2,4,8,16]) for the oscillation tables
+  twoscale: M (64, at least 1), eps_list ([2,4,8,16]) for the oscillation
+      tables
 """
 
 import copy
@@ -158,6 +159,8 @@ class ExperimentConfig:
             raise ConfigError("macro_resolution must be >= 4")
         ts = data["twoscale"]
         self.twoscale_M = int(ts["M"])
+        if self.twoscale_M < 1:
+            raise ConfigError("twoscale.M must be >= 1")
         self.twoscale_eps = _check_eps_list(ts["eps_list"],
                                             "twoscale.eps_list")
         # build eagerly so invalid sections fail at load time

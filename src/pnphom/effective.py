@@ -158,10 +158,6 @@ class CellProblemSolution:
         self.coefficient = coefficient
         self.operator = operator
 
-    def corrector_gradients(self, k):
-        return tri_gradient(self.vertices, self.triangles,
-                            self.correctors[k])
-
     def periodicity_defect(self):
         rep = self.operator.rep
         return max(float(np.abs(u - u[rep]).max()) for u in self.correctors)
@@ -206,14 +202,9 @@ def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
 
 def _fluid_subcell(template):
     """Fluid-restricted vertex set, triangles, and periodic pairs."""
-    mask = template.tri_phase == FLUID
-    tris = template.triangles[mask]
-    if tris.shape[0] == 0:
+    vertex_ids, local_tris, g2l = template.fluid_submesh()
+    if local_tris.shape[0] == 0:
         raise CellSolveError("cell has no fluid region")
-    vertex_ids = np.unique(tris)
-    g2l = np.full(template.n_vertices, -1, dtype=int)
-    g2l[vertex_ids] = np.arange(vertex_ids.shape[0])
-    local_tris = g2l[tris]
     pair_arrays = []
     for pairs in template.periodic_pairs().values():
         local = g2l[pairs]
@@ -274,10 +265,9 @@ def solve_species_cell(template):
 # dielectric stage 1: full-cell problems per frozen sample
 
 
-def _phase_tri_integrals(template, rho_f, rho_s, omega, rule=None):
+def _phase_tri_integrals(template, rho_f, rho_s, omega):
     """Per-triangle integral of the phase-split coefficient at frozen omega."""
-    if rule is None:
-        rule = quadrature("triangle-3pt")
+    rule = quadrature("triangle-3pt")
     verts = template.vertices
     tris = template.triangles
     nq = len(rule)
@@ -530,7 +520,7 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
 # surface factor and the assembled coefficient set
 
 
-def surface_factor(template, eta_field, rule=None):
+def surface_factor(template, eta_field):
     """Average over samples of the interface integral of eta.
 
     The sample average of the additive trigonometric sample modes vanishes
@@ -539,10 +529,9 @@ def surface_factor(template, eta_field, rule=None):
     """
     if template.interface_edges.shape[0] == 0:
         return 0.0
-    if rule is None:
-        rule = quadrature("edge-gauss-4")
     pts, wts = edge_quadrature_points(template.vertices,
-                                      template.interface_edges, rule)
+                                      template.interface_edges,
+                                      quadrature("edge-gauss-4"))
     vals = eta_field.omega_average(pts.reshape(-1, 2))
     return float(np.sum(wts * vals.reshape(wts.shape)))
 

@@ -38,17 +38,16 @@ class ConvergenceFailure(RuntimeError):
 
 
 class SolveResult:
-    """Outcome of an iterative solve."""
+    """Outcome of a converged iterative solve."""
 
-    def __init__(self, x, iterations, residual, converged):
+    def __init__(self, x, iterations, residual):
         self.x = x
         self.iterations = iterations
         self.residual = residual
-        self.converged = converged
 
     def __repr__(self):
-        return "SolveResult(iters=%d, residual=%.3e, converged=%s)" % (
-            self.iterations, self.residual, self.converged)
+        return "SolveResult(iters=%d, residual=%.3e)" % (
+            self.iterations, self.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +57,9 @@ class SolveResult:
 class QuadratureRule:
     """Reference-element quadrature.
 
-    kind 'triangle-3pt' (degree 2) and 'triangle-7pt' (degree 5) live on the
-    unit reference triangle with measure 1/2; 'edge-gauss-k' for
-    k in {2, 4, 8} lives on the unit interval with measure 1.
+    kind 'triangle-3pt' (degree 2) lives on the unit reference triangle with
+    measure 1/2; 'edge-gauss-k' for k in {2, 4, 8} lives on the unit
+    interval with measure 1.
     """
 
     def __init__(self, kind, points, weights):
@@ -83,23 +82,12 @@ def quadrature(kind):
     Parameters
     ----------
     kind : str
-        One of 'triangle-3pt', 'triangle-7pt', 'edge-gauss-2',
-        'edge-gauss-4', 'edge-gauss-8'.
+        One of 'triangle-3pt', 'edge-gauss-2', 'edge-gauss-4',
+        'edge-gauss-8'.
     """
     if kind == "triangle-3pt":
         pts = [(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
         wts = [1.0 / 6.0] * 3
-        return QuadratureRule(kind, pts, wts)
-    if kind == "triangle-7pt":
-        s15 = math.sqrt(15.0)
-        a1 = (6.0 - s15) / 21.0
-        a2 = (6.0 + s15) / 21.0
-        w1 = (155.0 - s15) / 2400.0
-        w2 = (155.0 + s15) / 2400.0
-        pts = [(1.0 / 3.0, 1.0 / 3.0),
-               (a1, a1), (1.0 - 2.0 * a1, a1), (a1, 1.0 - 2.0 * a1),
-               (a2, a2), (1.0 - 2.0 * a2, a2), (a2, 1.0 - 2.0 * a2)]
-        wts = [9.0 / 80.0, w1, w1, w1, w2, w2, w2]
         return QuadratureRule(kind, pts, wts)
     if kind.startswith("edge-gauss-"):
         k = int(kind.rsplit("-", 1)[1])
@@ -171,12 +159,8 @@ def map_triangle_quadrature(vertices, triangles, rule):
 
 
 def _eval_coefficient(coefficient, pts):
-    """Evaluate a scalar or 2x2-tensor coefficient at stacked points."""
+    """Evaluate a 2x2-tensor or callable coefficient at stacked points."""
     n = pts.shape[0]
-    if coefficient is None:
-        return np.ones(n), False
-    if np.isscalar(coefficient):
-        return np.full(n, float(coefficient)), False
     arr = np.asarray(coefficient) if not callable(coefficient) else None
     if arr is not None:
         if arr.shape == (2, 2):
@@ -208,7 +192,7 @@ def _sum_local(triangles, local, nv):
     return csr
 
 
-def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None):
+def assemble_stiffness(vertices, triangles, coefficient=None):
     """Assemble the P1 stiffness matrix of -div(a grad u) on a triangle set.
 
     Parameters
@@ -216,9 +200,8 @@ def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None
     vertices : (nv, 2) array
     triangles : (nt, 3) int array
     coefficient : None, scalar, (2,2) array, or callable(points)->values
-        Scalar (nq,) or tensor (nq, 2, 2) values at quadrature points.
-    rule : QuadratureRule, default triangle-3pt
-    nv : matrix dimension override (defaults to len(vertices))
+        Scalar (nq,) or tensor (nq, 2, 2) values at the triangle-3pt
+        quadrature points.
 
     Returns
     -------
@@ -229,10 +212,7 @@ def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None
     triangles = np.asarray(triangles)
     if triangles.shape[0] == 0:
         raise AssemblyError("empty region")
-    if rule is None:
-        rule = quadrature("triangle-3pt")
-    if nv is None:
-        nv = vertices.shape[0]
+    rule = quadrature("triangle-3pt")
     areas, grads = tri_geometry(vertices, triangles)
     nt = triangles.shape[0]
     nq = len(rule)
@@ -258,45 +238,21 @@ def assemble_stiffness(vertices, triangles, coefficient=None, rule=None, nv=None
             csum = np.einsum("tq,tq->t", wts, scal)
             local = np.einsum("tid,tjd->tij", grads, grads) * csum[:, None, None]
 
-    return _sum_local(triangles, local, nv)
+    return _sum_local(triangles, local, vertices.shape[0])
 
 
-def assemble_mass(vertices, triangles, lumped=False, coefficient=None,
-                  rule=None, nv=None):
-    """Assemble the P1 mass matrix, optionally row-lumped or weighted.
+def assemble_mass(vertices, triangles):
+    """Assemble the P1 mass matrix as a scipy CSR matrix.
 
-    Returns a scipy CSR matrix.  The entries of the unweighted matrix sum to
-    the region area exactly.
+    Its entries sum to the region area exactly.
     """
     triangles = np.asarray(triangles)
     if triangles.shape[0] == 0:
         raise AssemblyError("empty region")
-    if rule is None:
-        rule = quadrature("triangle-3pt")
-    if nv is None:
-        nv = vertices.shape[0]
     areas, _ = tri_geometry(vertices, triangles)
-    nt = triangles.shape[0]
-    nq = len(rule)
-
-    if coefficient is None or np.isscalar(coefficient):
-        c = 1.0 if coefficient is None else float(coefficient)
-        base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        local = base[None, :, :] * (c * areas)[:, None, None]
-    else:
-        pts, wts = map_triangle_quadrature(vertices, triangles, rule)
-        vals, is_tensor = _eval_coefficient(coefficient, pts.reshape(-1, 2))
-        if is_tensor:
-            raise AssemblyError("mass coefficient must be scalar")
-        scal = vals.reshape(nt, nq)
-        xi = rule.points[:, 0]
-        eta = rule.points[:, 1]
-        bas = np.stack([1.0 - xi - eta, xi, eta], axis=1)  # (nq, 3)
-        local = np.einsum("tq,qi,qj->tij", wts * scal, bas, bas)
-
-    if lumped:
-        local = np.zeros_like(local) + np.eye(3)[None, :, :] * local.sum(axis=2)[:, :, None]
-    return _sum_local(triangles, local, nv)
+    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    local = base[None, :, :] * areas[:, None, None]
+    return _sum_local(triangles, local, vertices.shape[0])
 
 
 def tri_gradient(vertices, triangles, values):
@@ -392,24 +348,20 @@ def assemble_drift(pattern, cell_velocity):
                                       minlength=pattern.nnz))
 
 
-def assemble_interface_load(vertices, edges, density=None, rule=None, nv=None):
+def assemble_interface_load(vertices, edges, density, rule):
     """Integrate a density against P1 traces on a set of edges.
 
     Returns the vector b with b_i = sum over edges of
-    int_edge density * hat_i dS, using Gauss quadrature along each edge.
+    int_edge density * hat_i dS, using the edge rule along each edge.
     With density = 1 the entries sum to the total edge length.
 
     Parameters
     ----------
-    density : None, scalar, or callable(points (m,2)) -> (m,) values
-    rule : QuadratureRule, default edge-gauss-2
+    density : callable(points (m,2)) -> (m,) values
+    rule : QuadratureRule of an 'edge-gauss-k' kind
     """
     edges = np.asarray(edges)
-    if rule is None:
-        rule = quadrature("edge-gauss-2")
-    if nv is None:
-        nv = vertices.shape[0]
-    b = np.zeros(nv)
+    b = np.zeros(vertices.shape[0])
     if edges.shape[0] == 0:
         return b
     p0 = vertices[edges[:, 0]]
@@ -421,10 +373,7 @@ def assemble_interface_load(vertices, edges, density=None, rule=None, nv=None):
     t = rule.points[:, 0]
     wts = rule.weights
     pts = p0[:, None, :] * (1.0 - t)[None, :, None] + p1[:, None, :] * t[None, :, None]
-    if density is None or np.isscalar(density):
-        dvals = np.full(pts.shape[:2], 1.0 if density is None else float(density))
-    else:
-        dvals = np.asarray(density(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+    dvals = np.asarray(density(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     w = dvals * wts[None, :] * lengths[:, None]
     contrib0 = (w * (1.0 - t)[None, :]).sum(axis=1)
     contrib1 = (w * t[None, :]).sum(axis=1)
@@ -433,7 +382,7 @@ def assemble_interface_load(vertices, edges, density=None, rule=None, nv=None):
     return b
 
 
-def edge_quadrature_points(vertices, edges, rule=None):
+def edge_quadrature_points(vertices, edges, rule):
     """Physical quadrature points and weights along a set of edges.
 
     Returns
@@ -442,8 +391,6 @@ def edge_quadrature_points(vertices, edges, rule=None):
     wts : (ne, nq), summing to the total length.
     """
     edges = np.asarray(edges)
-    if rule is None:
-        rule = quadrature("edge-gauss-2")
     p0 = vertices[edges[:, 0]]
     p1 = vertices[edges[:, 1]]
     lengths = np.linalg.norm(p1 - p0, axis=1)
@@ -468,14 +415,15 @@ def _splu(matrix):
     return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
 
 
-def _krylov(name, A, b, tol, max_iter, x0, deflate, raise_on_fail, precond):
+def _krylov(name, A, b, tol, max_iter, x0, deflate, precond):
     """Run scipy's ``cg`` or ``bicgstab`` and wrap the outcome.
 
     The preconditioner is applied through an operator that counts its calls:
     CG applies it once per iteration, BiCGStab twice, and once in a final
     half step, which counts as an iteration.  With ``deflate=True`` the
     operator and the preconditioner both project onto the mean-zero
-    subspace.  The reported residual is the true ||b - A x|| / ||b||.
+    subspace.  The reported residual is the true ||b - A x|| / ||b||; a
+    solve that does not reach ``tol`` raises ConvergenceFailure.
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -485,7 +433,7 @@ def _krylov(name, A, b, tol, max_iter, x0, deflate, raise_on_fail, precond):
     b = project(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return SolveResult(np.zeros(n), 0, 0.0, True)
+        return SolveResult(np.zeros(n), 0, 0.0)
     if x0 is not None:
         x0 = project(np.asarray(x0, dtype=float))
     calls = 0
@@ -512,16 +460,14 @@ def _krylov(name, A, b, tol, max_iter, x0, deflate, raise_on_fail, precond):
     it = calls if name == "cg" else (calls + 1) // 2
     # scipy's breakdown thresholds are absolute, so an early exit (info < 0)
     # is judged by its true residual
-    converged = info == 0 or res <= tol
-    if not converged and raise_on_fail:
+    if info != 0 and res > tol:
         raise ConvergenceFailure(
             "%s failed: residual %.3e after %d iterations" % (name, res, it),
             res, it, x)
-    return SolveResult(x, it, res, converged)
+    return SolveResult(x, it, res)
 
 
-def cg_solve(A, b, tol=1e-11, max_iter=None, x0=None, deflate=False,
-             raise_on_fail=True, precond=None):
+def cg_solve(A, b, tol=1e-11, max_iter=None, deflate=False, precond=None):
     """Conjugate gradients for symmetric positive (semi)definite systems.
 
     With ``deflate=True`` the solve runs in the mean-zero subspace, which
@@ -530,24 +476,24 @@ def cg_solve(A, b, tol=1e-11, max_iter=None, x0=None, deflate=False,
     symmetric positive preconditioner, a callable r -> z.
 
     Returns a SolveResult; raises ConvergenceFailure when the iteration
-    budget is exhausted (unless raise_on_fail is False).
+    budget is exhausted.
     """
-    return _krylov("cg", A, b, tol, max_iter, x0, deflate, raise_on_fail,
-                   precond)
+    return _krylov("cg", A, b, tol, max_iter, None, deflate, precond)
 
 
-def bicgstab_solve(A, b, tol=1e-11, max_iter=None, x0=None,
-                   raise_on_fail=True, precond=None):
-    """BiCGStab for general square systems; same contract as cg_solve.
+def bicgstab_solve(A, b, tol=1e-11, max_iter=None, x0=None, precond=None):
+    """BiCGStab for general square systems from the initial guess x0; same
+    contract as cg_solve.
 
     ``precond`` is a callable v -> z applied as a right preconditioner.
     """
-    return _krylov("bicgstab", A, b, tol, max_iter, x0, False, raise_on_fail,
-                   precond)
+    return _krylov("bicgstab", A, b, tol, max_iter, x0, False, precond)
 
 
-def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25,
-                 max_halvings=10):
+_NEWTON_HALVINGS = 10  # step halvings per Newton iteration before giving up
+
+
+def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25):
     """Damped Newton iteration on a vector residual.
 
     Parameters
@@ -556,7 +502,6 @@ def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25,
     solve_linearized : callable(x, F) -> step s with J(x) s = F
     x0 : initial iterate
     tol : convergence on ||F(x)|| <= tol * max(1, ||F(x0)||)
-    max_halvings : step halvings per iteration before giving up
 
     Returns
     -------
@@ -571,7 +516,7 @@ def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25,
         s = solve_linearized(x, f)
         t = 1.0
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(_NEWTON_HALVINGS + 1):
             xn = x - t * s
             fn = residual(xn)
             fn_norm = np.linalg.norm(fn)
@@ -589,4 +534,4 @@ def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25,
         raise ConvergenceFailure(
             "newton failed: residual %.3e after %d iterations" % (fnorm, it),
             fnorm / scale, it, x)
-    return SolveResult(x, it, fnorm / scale, True)
+    return SolveResult(x, it, fnorm / scale)

@@ -97,105 +97,14 @@ class UnitCellSpec:
         return 2.0 * n * self.inclusion_radius * math.sin(math.pi / n)
 
 
-class TemplateCell:
-    """Triangulated unit cell with phase markers and periodic pairing.
+class _PhaseMesh:
+    """Summary quantities shared by the template cell and the tiled mesh.
 
-    Attributes
-    ----------
-    vertices : (nv, 2) float array
-    triangles : (nt, 3) int array
-    tri_phase : (nt,) int array of FLUID/SOLID markers
-    interface_edges : (ne, 2) int array, edges on the polygon boundary
-    boundary_edges : (nb, 2) int array, edges on the cell boundary
-    boundary_edge_class : (nb,) int array (FLUID/SOLID of adjacent triangle)
-    side_vertices : dict side -> int array of vertex ids ordered by the
-        side coordinate; sides are 'left', 'right', 'bottom', 'top'.  The
-        arrays define the periodic pairing left<->right and bottom<->top
-        slot by slot.
+    Both carry ``vertices``, ``triangles``, ``tri_phase`` and
+    ``interface_edges``.
     """
 
-    def __init__(self, spec, vertices, triangles, tri_phase, interface_edges,
-                 boundary_edges, boundary_edge_class, side_vertices):
-        self.spec = spec
-        self.vertices = vertices
-        self.triangles = triangles
-        self.tri_phase = tri_phase
-        self.interface_edges = interface_edges
-        self.boundary_edges = boundary_edges
-        self.boundary_edge_class = boundary_edge_class
-        self.side_vertices = side_vertices
-
-    @property
-    def n_vertices(self):
-        return self.vertices.shape[0]
-
-    @property
-    def n_triangles(self):
-        return self.triangles.shape[0]
-
-    def triangle_areas(self):
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    @property
-    def fluid_area(self):
-        areas = self.triangle_areas()
-        return float(np.sum(areas[self.tri_phase == FLUID]))
-
-    @property
-    def solid_area(self):
-        areas = self.triangle_areas()
-        return float(np.sum(areas[self.tri_phase == SOLID]))
-
-    @property
-    def porosity(self):
-        return self.fluid_area
-
-    @property
-    def interface_length(self):
-        if self.interface_edges.shape[0] == 0:
-            return 0.0
-        v = self.vertices
-        e = self.interface_edges
-        return float(np.sum(np.hypot(*(v[e[:, 1]] - v[e[:, 0]]).T)))
-
-    def periodic_pairs(self):
-        """Vertex index pairs (master, slave) keyed by pairing direction.
-
-        ``pairs["x"]`` matches the left side to the right side and
-        ``pairs["y"]`` matches the bottom side to the top side.
-        """
-        lr = np.column_stack([self.side_vertices["left"], self.side_vertices["right"]])
-        bt = np.column_stack([self.side_vertices["bottom"], self.side_vertices["top"]])
-        return {"x": lr, "y": bt}
-
-
-class PerforatedMesh:
-    """The template cell tiled n x n over the unit square, eps = 1/n.
-
-    Vertex coordinates of shared cell-face vertices are produced by a single
-    owner formula, so the tiling is exact: no tolerance-based stitching.
-    """
-
-    def __init__(self, template, n, vertices, triangles, tri_phase,
-                 interface_edges, boundary_edges, boundary_edge_class,
-                 cell_index, cell_vertex_maps):
-        self.template = template
-        self.n = int(n)
-        self.epsilon = 1.0 / float(n)
-        self.vertices = vertices
-        self.triangles = triangles
-        self.tri_phase = tri_phase
-        self.interface_edges = interface_edges
-        self.boundary_edges = boundary_edges
-        self.boundary_edge_class = boundary_edge_class
-        self.cell_index = cell_index
-        # (n*n, nv_template) int array: template vertex -> global vertex per cell
-        self.cell_vertex_maps = cell_vertex_maps
-        self._fluid_cache = None
+    _fluid_cache = None
 
     @property
     def n_vertices(self):
@@ -243,6 +152,69 @@ class PerforatedMesh:
             g2l[ids] = np.arange(ids.shape[0])
             self._fluid_cache = (ids, g2l[tris], g2l)
         return self._fluid_cache
+
+
+class TemplateCell(_PhaseMesh):
+    """Triangulated unit cell with phase markers and periodic pairing.
+
+    Attributes
+    ----------
+    vertices : (nv, 2) float array
+    triangles : (nt, 3) int array
+    tri_phase : (nt,) int array of FLUID/SOLID markers
+    interface_edges : (ne, 2) int array, edges on the polygon boundary
+    boundary_edges : (nb, 2) int array, edges on the cell boundary
+    boundary_edge_class : (nb,) int array (FLUID/SOLID of adjacent triangle)
+    side_vertices : dict side -> int array of vertex ids ordered by the
+        side coordinate; sides are 'left', 'right', 'bottom', 'top'.  The
+        arrays define the periodic pairing left<->right and bottom<->top
+        slot by slot.
+    """
+
+    def __init__(self, spec, vertices, triangles, tri_phase, interface_edges,
+                 boundary_edges, boundary_edge_class, side_vertices):
+        self.spec = spec
+        self.vertices = vertices
+        self.triangles = triangles
+        self.tri_phase = tri_phase
+        self.interface_edges = interface_edges
+        self.boundary_edges = boundary_edges
+        self.boundary_edge_class = boundary_edge_class
+        self.side_vertices = side_vertices
+
+    @property
+    def porosity(self):
+        return self.fluid_area
+
+    def periodic_pairs(self):
+        """Vertex index pairs (master, slave) keyed by pairing direction.
+
+        ``pairs["x"]`` matches the left side to the right side and
+        ``pairs["y"]`` matches the bottom side to the top side.
+        """
+        lr = np.column_stack([self.side_vertices["left"], self.side_vertices["right"]])
+        bt = np.column_stack([self.side_vertices["bottom"], self.side_vertices["top"]])
+        return {"x": lr, "y": bt}
+
+
+class PerforatedMesh(_PhaseMesh):
+    """The template cell tiled n x n over the unit square, eps = 1/n.
+
+    Vertex coordinates of shared cell-face vertices are produced by a single
+    owner formula, so the tiling is exact: no tolerance-based stitching.
+    """
+
+    def __init__(self, template, n, vertices, triangles, tri_phase,
+                 interface_edges, boundary_edges, boundary_edge_class):
+        self.template = template
+        self.n = int(n)
+        self.epsilon = 1.0 / float(n)
+        self.vertices = vertices
+        self.triangles = triangles
+        self.tri_phase = tri_phase
+        self.interface_edges = interface_edges
+        self.boundary_edges = boundary_edges
+        self.boundary_edge_class = boundary_edge_class
 
 
 def build_template_cell(spec):
@@ -743,12 +715,10 @@ def tile_domain(cell, n):
     nt = cell.n_triangles
     gtris = np.empty((n * n * nt, 3), dtype=np.int64)
     gphase = np.empty(n * n * nt, dtype=np.int64)
-    gcell = np.empty(n * n * nt, dtype=np.int64)
     for c in range(n * n):
         cmap = cell_maps[c]
         gtris[c * nt:(c + 1) * nt] = cmap[cell.triangles]
         gphase[c * nt:(c + 1) * nt] = cell.tri_phase
-        gcell[c * nt:(c + 1) * nt] = c
 
     ne = cell.interface_edges.shape[0]
     giface = np.empty((n * n * ne, 2), dtype=np.int64)
@@ -788,7 +758,7 @@ def tile_domain(cell, n):
     gbclass = np.concatenate(bclass) if bclass else np.zeros(0, dtype=np.int64)
 
     mesh = PerforatedMesh(cell, n, gverts, gtris, gphase, giface,
-                          gbedges, gbclass, gcell, cell_maps)
+                          gbedges, gbclass)
     _validate_tiling(mesh)
     logger.info("tiled mesh n=%d: %d vertices, %d triangles", n,
                 mesh.n_vertices, mesh.n_triangles)

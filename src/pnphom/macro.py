@@ -63,6 +63,7 @@ class MacroProblem(_Transport):
 
 
 def equilibrium_residual(ledger, params):
-    """Largest deviation of the surface functional from the value pinned
-    by the initial charge; zero when the global equilibrium identity holds."""
+    """Largest charge identity residual of a ledger,
+    max |pi_eps + F (z+ M+ - z- M-)| over its rows; zero when the discrete
+    weak Poisson identity with test function one holds at every row."""
     return float(ledger.charge_identity_residuals(params).max())

@@ -58,10 +58,6 @@ class TorusShift:
         self.omega = np.mod(omega, 1.0)
         self.rng_seed = rng_seed
 
-    def shifted(self, y):
-        """Return the shifted sample point T(y) omega as a plain array."""
-        return shift(self.omega, y)
-
     def __repr__(self):
         return "TorusShift(omega=(%.6f, %.6f), seed=%r)" % (
             self.omega[0], self.omega[1], self.rng_seed)
@@ -154,12 +150,6 @@ class CoefficientField:
         """Exact mean over both arguments (the constant coefficient)."""
         return self.base_value
 
-    def max_frequency(self):
-        """Largest |k|_inf over all modes (0 for a constant field)."""
-        freqs = [max(abs(k1), abs(k2)) for (k1, k2), _ in self.y_modes]
-        freqs += [max(abs(k1), abs(k2)) for (k1, k2), _ in self.w_modes]
-        return max(freqs) if freqs else 0
-
     def is_constant(self):
         return not self.y_modes and not self.w_modes
 
@@ -190,10 +180,6 @@ class CoefficientField:
             w_modes=data.get("w_modes", ()),
             floor=data.get("floor"),
         )
-
-    @classmethod
-    def constant(cls, value, name="field"):
-        return cls(name, value)
 
     def __repr__(self):
         return "CoefficientField(%r, base=%g, %d y-modes, %d w-modes)" % (

@@ -31,8 +31,7 @@ ERROR_FIELDS = ("conc_plus", "conc_minus", "potential")
 COLUMNS = ("eps", "omega_index", "status",
            "err_conc_plus", "err_conc_minus", "err_potential",
            "st_err_conc_plus", "st_err_conc_minus", "st_err_potential",
-           "mass_drift_max", "pi_drift_max", "equilibrium_residual",
-           "wall_time")
+           "mass_drift_max", "pi_drift_max", "equilibrium_residual")
 
 
 class SweepReport:
@@ -193,7 +192,13 @@ def compare_trajectories(problem, snapshots, reference):
 
 
 def _micro_run_row(template, config, reference, n, omega_index):
-    """One fine run; returns a report row dict."""
+    """One fine run; returns a report row dict.
+
+    The row's equilibrium_residual is the ledger's largest pinned charge
+    residual (``ConservationLedger.pinned_charge_residuals``).  Its
+    wall_time, the run's wall-clock seconds, is no report column: run_sweep
+    moves it to the timings.
+    """
     params = config.pnp
     t0 = time.perf_counter()
     row = {"eps": 1.0 / n, "omega_index": omega_index, "status": "ok"}
@@ -211,12 +216,8 @@ def _micro_run_row(template, config, reference, n, omega_index):
             row["st_err_" + name] = spacetime[name]
         row["mass_drift_max"] = ledger.max_mass_drift()
         row["pi_drift_max"] = ledger.max_pi_drift()
-        m0p = ledger.rows[0]["mass_plus"]
-        m0m = ledger.rows[0]["mass_minus"]
-        pinned = -params.F_const * (params.z_plus * m0p
-                                    - params.z_minus * m0m)
         row["equilibrium_residual"] = float(
-            np.abs(ledger.column("pi_eps") - pinned).max())
+            ledger.pinned_charge_residuals(params).max())
     except (MicroRunError, RuntimeError, ValueError) as exc:
         log.error("run eps=1/%d omega=%d failed: %s", n, omega_index, exc)
         row["status"] = "failed:%s" % type(exc).__name__
@@ -224,12 +225,12 @@ def _micro_run_row(template, config, reference, n, omega_index):
     return row
 
 
-def run_sweep(config, threads=1, deterministic=True):
+def run_sweep(config, threads=1):
     """Run the full (eps, omega) grid and aggregate; see SweepReport.
 
-    With deterministic=True the wall_time column is zeroed (reruns must be
-    byte-identical); real timings are returned separately in the second
-    element of the tuple.
+    Returns (report, timings).  The report holds no wall-clock value, so
+    reruns are byte-identical; timings maps 'eps_1_<n>' to the wall-clock
+    seconds of each run at that eps, in omega order.
     """
     template = build_template_cell(config.geometry)
     eff = compute_effective(template, config.fields, K=config.K)
@@ -266,10 +267,8 @@ def run_sweep(config, threads=1, deterministic=True):
             vals = [r[name] for r in ok]
             agg[name] = float(np.mean(vals)) if vals else float("nan")
         report_rows.append(agg)
-        timings["eps_1_%d" % n] = [round(r["wall_time"], 6) for r in group]
-    if deterministic:
-        for row in report_rows:
-            row["wall_time"] = 0.0
+        timings["eps_1_%d" % n] = [round(r.pop("wall_time"), 6)
+                                   for r in group]
     report = SweepReport(report_rows, reference.equilibrium_residual)
     return report, timings
 

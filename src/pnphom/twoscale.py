@@ -31,20 +31,6 @@ from .randomfield import sample_omega
 log = logging.getLogger(__name__)
 
 
-class ResolutionError(ValueError):
-    """Raised when the volume quadrature cannot resolve the eps^2 scale.
-
-    Attributes
-    ----------
-    required : int
-        Minimum admissible points per axis.
-    """
-
-    def __init__(self, message, required):
-        super().__init__(message)
-        self.required = required
-
-
 def _eps_to_n(eps):
     n = int(round(1.0 / eps))
     if n < 1 or abs(n * eps - 1.0) > 1e-12:
@@ -99,9 +85,6 @@ class TrigFactor:
             if k == (0, 0):
                 total += a * math.cos(ph)
         return total
-
-    def max_frequency(self):
-        return max([max(abs(k[0]), abs(k[1])) for _, k, _ in self.terms] or [0])
 
     def min_bound(self):
         lo = self.const
@@ -176,9 +159,6 @@ class CosProductFactor:
             acc[q] = acc.get(q, 0.0) + a
         return sum(a * a * w(q1) * w(q2) for (q1, q2), a in acc.items())
 
-    def max_frequency(self):
-        return max([max(abs(q[0]), abs(q[1])) for _, q in self.terms] or [0])
-
     def min_bound(self):
         lo = 0.0
         for a, (q1, q2) in self.terms:
@@ -208,76 +188,6 @@ class CosProductFactor:
 
     def abs_power_integral(self, p):
         return _abs_power_integral(self, p, torus=False)
-
-
-class PolynomialFactor:
-    """Slow factor sum amp * x1^d1 x2^d2 on the unit square."""
-
-    def __init__(self, terms):
-        self.terms = [(float(a), (int(d[0]), int(d[1]))) for a, d in terms]
-        if any(d[0] < 0 or d[1] < 0 for _, d in self.terms):
-            raise ValueError("polynomial degrees must be nonnegative")
-
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for a, (d1, d2) in self.terms:
-            out += a * pts[..., 0] ** d1 * pts[..., 1] ** d2
-        return out
-
-    def value_outer(self, u1, u2):
-        out = np.zeros((len(u1), len(u2)))
-        for a, (d1, d2) in self.terms:
-            out += a * np.outer(np.asarray(u1) ** d1, np.asarray(u2) ** d2)
-        return out
-
-    def integral(self):
-        return sum(a / ((d1 + 1.0) * (d2 + 1.0)) for a, (d1, d2) in self.terms)
-
-    def squared_integral(self):
-        total = 0.0
-        for a1, (p1, p2) in self.terms:
-            for a2, (q1, q2) in self.terms:
-                total += a1 * a2 / ((p1 + q1 + 1.0) * (p2 + q2 + 1.0))
-        return total
-
-    def max_frequency(self):
-        return 0
-
-    def min_bound(self):
-        lo = 0.0
-        for a, (d1, d2) in self.terms:
-            if d1 == 0 and d2 == 0:
-                lo += a
-            else:
-                lo += min(0.0, a)
-        return lo
-
-    def is_constant(self):
-        return all(d == (0, 0) for _, d in self.terms)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return PolynomialFactor([(a * other, d) for a, d in self.terms])
-        if not isinstance(other, PolynomialFactor):
-            return NotImplemented
-        terms = [(a1 * a2, (p1 + q1, p2 + q2))
-                 for a1, (p1, p2) in self.terms
-                 for a2, (q1, q2) in other.terms]
-        return PolynomialFactor(terms)
-
-    __rmul__ = __mul__
-
-    def abs_power_integral(self, p):
-        return _abs_power_integral(self, p, torus=False)
-
-
-def constant_factor(value, kind="trig"):
-    if kind == "trig":
-        return TrigFactor(const=value)
-    if kind == "cos":
-        return CosProductFactor([(value, (0, 0))])
-    return PolynomialFactor([(value, (0, 0))])
 
 
 def _abs_power_integral(factor, p, torus):
@@ -319,7 +229,7 @@ class TestIntegrand:
 
     Parameters
     ----------
-    f : CosProductFactor or PolynomialFactor (slow variable x in Omega)
+    f : CosProductFactor (slow variable x in Omega)
     g : TrigFactor (sample variable w on the torus)
     h : TrigFactor (fast periodic variable y)
     p : exponent >= 1; closed-form references exist for p = 1 with
@@ -331,7 +241,7 @@ class TestIntegrand:
     __test__ = False  # not a pytest case despite the class name
 
     def __init__(self, f=None, g=None, h=None, p=1, name="integrand"):
-        self.f = f if f is not None else constant_factor(1.0, "cos")
+        self.f = f if f is not None else CosProductFactor.from_modes()
         self.g = g if g is not None else TrigFactor(const=1.0)
         self.h = h if h is not None else TrigFactor(const=1.0)
         self.p = float(p)
@@ -343,14 +253,6 @@ class TestIntegrand:
 
     def omega_independent(self):
         return self.g.is_constant()
-
-    def evaluate(self, x, omega, eps):
-        """Pointwise |a(x, T(x/eps) w, x/eps^2)|^p at points x (n, 2)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        w = np.mod(np.asarray(omega, dtype=float) + x / eps, 1.0)
-        y = np.mod(x / (eps * eps), 1.0)
-        vals = self.f.value(x) * self.g.value(w) * self.h.value(y)
-        return np.abs(vals) ** self.p if self.p != 1 else np.abs(vals)
 
     def volume_reference(self):
         """Exact triple integral int |f|^p dx int |g|^p dmu int |h|^p dy."""
@@ -416,23 +318,16 @@ def _mc_samples(M, base_seed):
     return [sample_omega(base_seed + i).omega for i in range(M)]
 
 
-def volume_oscillation(a, eps, M=64, base_seed=0, resolution=None):
+def volume_oscillation(a, eps, M=64, base_seed=0):
     """Estimate the volume oscillation integral of a at scale eps.
 
-    Uses a composite midpoint grid with ``resolution`` points per axis
-    (default 8 n^2, the coarsest admissible) and Monte Carlo over the
-    sample space with a fixed seed schedule.  For sample-independent
-    integrands a single sample is evaluated and the standard error is zero.
-
-    Raises ResolutionError when the grid spacing exceeds eps^2 / 8.
+    Uses a composite midpoint grid with N = 8 n^2 points per axis, so the
+    grid spacing is eps^2 / 8, and Monte Carlo over the sample space with a
+    fixed seed schedule.  For sample-independent integrands a single sample
+    is evaluated and the standard error is zero.
     """
     n = _eps_to_n(eps)
-    required = 8 * n * n
-    N = required if resolution is None else int(resolution)
-    if N < required:
-        raise ResolutionError(
-            "grid spacing 1/%d exceeds eps^2/8; need at least %d points per axis"
-            % (N, required), required)
+    N = 8 * n * n
     x1 = (np.arange(N) + 0.5) / N
     # slow and fast factors are sample independent: precompute their product
     F = a.f.value_outer(x1, x1)
@@ -469,12 +364,12 @@ def _shifted_trig_outer(g, w, u1, u2):
     return out
 
 
-def surface_oscillation(a, mesh, eps, M=64, base_seed=0, rule="edge-gauss-8"):
+def surface_oscillation(a, mesh, eps, M=64, base_seed=0):
     """Estimate the eps-scaled interface oscillation integral.
 
-    Gauss quadrature along every interface facet of the perforated mesh,
-    Monte Carlo over the sample space with the same fixed seed schedule as
-    the volume estimator.
+    8-point Gauss quadrature along every interface facet of the perforated
+    mesh, Monte Carlo over the sample space with the same fixed seed
+    schedule as the volume estimator.
     """
     n = _eps_to_n(eps)
     if mesh.n != n:
@@ -483,7 +378,7 @@ def surface_oscillation(a, mesh, eps, M=64, base_seed=0, rule="edge-gauss-8"):
     if mesh.interface_edges.shape[0] == 0:
         raise ValueError("mesh has an empty interface")
     pts, wts = edge_quadrature_points(
-        mesh.vertices, mesh.interface_edges, quadrature(rule))
+        mesh.vertices, mesh.interface_edges, quadrature("edge-gauss-8"))
     P = pts.reshape(-1, 2)
     w_q = wts.ravel()
     F = a.f.value(P)
@@ -527,9 +422,6 @@ class OscillationReport:
         self.rows = rows
         self.growth_flags = growth_flags
 
-    def rel_errors(self):
-        return [r["rel_error"] for r in self.rows]
-
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("eps,M,value,reference,rel_error,mc_stderr\n")
@@ -550,8 +442,7 @@ class OscillationReport:
         return "\n".join(lines)
 
 
-def convergence_table(kind, a, eps_list, M=64, cell=None, base_seed=0,
-                      resolution=None, rule="edge-gauss-8"):
+def convergence_table(kind, a, eps_list, M=64, cell=None, base_seed=0):
     """Empirical convergence table for one integrand.
 
     Parameters
@@ -578,12 +469,10 @@ def convergence_table(kind, a, eps_list, M=64, cell=None, base_seed=0,
     floor = 1e-12
     for eps, n in zip(eps_list, ns):
         if kind == "volume":
-            est = volume_oscillation(a, eps, M=M, base_seed=base_seed,
-                                     resolution=resolution)
+            est = volume_oscillation(a, eps, M=M, base_seed=base_seed)
         else:
             mesh = tile_domain(cell, n)
-            est = surface_oscillation(a, mesh, eps, M=M, base_seed=base_seed,
-                                      rule=rule)
+            est = surface_oscillation(a, mesh, eps, M=M, base_seed=base_seed)
         denom = max(abs(reference), floor)
         rows.append({
             "eps": eps,

@@ -84,7 +84,7 @@ def oscillation_criterion(num, kind, template):
     for integrand in bundled_suite():
         report = convergence_table(kind, integrand, EPS_OSC, M=64,
                                    cell=template, base_seed=0)
-        errs = report.rel_errors()
+        errs = [r["rel_error"] for r in report.rows]
         worst8 = max(worst8, errs[2])
         worst16 = max(worst16, errs[3])
         worst_inv = max(worst_inv, count_error_inversions(errs))
@@ -203,7 +203,7 @@ def test_criterion_05_effective_tensor_oracles(default_template):
 
     # (a) constant coefficient passes through both stages unchanged
     c0 = 3.0
-    const = CoefficientField.constant(c0, "rho")
+    const = CoefficientField("rho", c0)
     res = solve_dielectric_cells(const, const, template, K=16)
     dev_a = np.abs(res.theta_eff - c0 * np.eye(2)).max()
     checks.append((dev_a <= 1e-10, "constant dev %.2e (<=1e-10)" % dev_a))

@@ -197,21 +197,22 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--no-deterministic"]],
-                         ids=["threads", "no_deterministic"])
+@pytest.mark.parametrize("flag", [["--threads", "2"]], ids=["threads"])
 def test_sweep_only_flags_rejected_elsewhere(small_cfg, tmp_path, flag):
-    # only sweep reads --threads and --deterministic
+    # only sweep reads --threads
     with pytest.raises(SystemExit) as err:
         run_cli(["micro", "--config", small_cfg,
                  "--out", str(tmp_path / "o")] + flag)
     assert err.value.code == 2
 
 
-def test_no_deterministic_flag(small_cfg, tmp_path):
-    out = str(tmp_path / "sweepnd")
-    rc = run_cli(["sweep", "--config", small_cfg, "--out", out,
-                  "--no-deterministic"])
-    assert rc == 0
-    report = open(os.path.join(out, "sweep_report.csv")).read().splitlines()
-    wall = float(report[1].split(",")[-1])
-    assert wall > 0.0
+@pytest.mark.parametrize("M", [0, -1])
+def test_twoscale_nonpositive_M_exits_2(tmp_path, capsys, M):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(SMALL, twoscale={"M": M,
+                                                     "eps_list": [2]})))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["twoscale", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "config error: twoscale.M must be >= 1" in capsys.readouterr().err

@@ -88,7 +88,7 @@ def test_species_galerkin_identity(template):
     theta = float(areas.sum())
     for j in range(2):
         for k in range(2):
-            gk = sol.corrector_gradients(k)
+            gk = tri_gradient(sol.vertices, sol.triangles, sol.correctors[k])
             alt = theta * (j == k) + float(np.sum(areas * gk[:, j]))
             assert A[j, k] == pytest.approx(alt, abs=1e-12)
 
@@ -105,7 +105,7 @@ def test_disconnected_region_rejected():
 
 def test_dielectric_constant(template):
     c0 = 3.0
-    field = CoefficientField.constant(c0, "rho")
+    field = CoefficientField("rho", c0)
     res = solve_dielectric_cells(field, field, template, K=16)
     assert res.mode == "constant-y"
     assert np.abs(res.theta_eff - c0 * np.eye(2)).max() <= 1e-10
@@ -242,7 +242,7 @@ def test_omega_species_injected_nonzero(template):
 
 
 def test_surface_factor_constant(template):
-    eta = CoefficientField.constant(1.5, "eta")
+    eta = CoefficientField("eta", 1.5)
     s = surface_factor(template, eta)
     assert s == pytest.approx(1.5 * template.interface_length, rel=1e-12)
 
@@ -257,7 +257,7 @@ def test_surface_factor_drops_sample_modes(template):
 
 
 def test_surface_factor_no_interface(template_r0):
-    eta = CoefficientField.constant(1.0, "eta")
+    eta = CoefficientField("eta", 1.0)
     assert surface_factor(template_r0, eta) == 0.0
 
 
@@ -271,7 +271,7 @@ def default_fields():
                                floor=0.5),
         rho_s=CoefficientField("rho_s", 2.0, w_modes=(((1, 0), 0.6),),
                                floor=0.5),
-        eta=CoefficientField.constant(1.0, "eta"),
+        eta=CoefficientField("eta", 1.0),
         gamma=GammaFunction("linear", alpha=1.0))
 
 
@@ -282,7 +282,7 @@ def general_fields():
                                w_modes=(((1, 0), 0.6),), floor=0.5),
         rho_s=CoefficientField("rho_s", 2.0, y_modes=(((0, 1), 0.3),),
                                w_modes=(((1, 1), 0.4),), floor=0.5),
-        eta=CoefficientField.constant(1.0, "eta"),
+        eta=CoefficientField("eta", 1.0),
         gamma=GammaFunction("linear", alpha=1.0))
 
 
@@ -379,7 +379,7 @@ def _drift_quadrature(species_sol, wsol):
     areas, _ = tri_geometry(verts, tris)
     T = np.empty((2, 2))
     for j in range(2):
-        flux_j = species_sol.corrector_gradients(j)
+        flux_j = tri_gradient(verts, tris, species_sol.correctors[j])
         flux_j[:, j] += 1.0
         for k in range(2):
             w_k = wsol.correctors[k][species_sol.vertex_ids]

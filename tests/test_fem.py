@@ -61,7 +61,6 @@ def _fluid_region(cell):
 
 def test_quadrature_weight_sums():
     assert quadrature("triangle-3pt").weights.sum() == pytest.approx(0.5, abs=1e-15)
-    assert quadrature("triangle-7pt").weights.sum() == pytest.approx(0.5, abs=1e-15)
     for k in (2, 4, 8):
         assert quadrature("edge-gauss-%d" % k).weights.sum() == pytest.approx(
             1.0, abs=1e-15)
@@ -79,7 +78,7 @@ def _ref_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("kind,degree", [("triangle-3pt", 2), ("triangle-7pt", 5)])
+@pytest.mark.parametrize("kind,degree", [("triangle-3pt", 2)])
 def test_triangle_rule_polynomial_exactness(kind, degree):
     rule = quadrature(kind)
     x = rule.points[:, 0]
@@ -203,39 +202,26 @@ def test_mass_total_is_area(fluid_template):
     cell, ids, tris = fluid_template
     M = assemble_mass(cell.vertices[ids], tris)
     assert M.sum() == pytest.approx(cell.fluid_area, abs=1e-12)
-    Ml = assemble_mass(cell.vertices[ids], tris, lumped=True)
-    assert Ml.sum() == pytest.approx(cell.fluid_area, abs=1e-12)
-    d = Ml.diagonal()
-    assert d.min() > 0.0
-    # lumping preserves row sums
-    assert np.allclose(_row_sums(M), _row_sums(Ml), atol=1e-14)
-
-
-def test_mass_weighted():
-    cell = build_template_cell(
-        UnitCellSpec(inclusion_radius=0.0, target_edge_length=1.0 / 8))
-
-    def coef(p):
-        return p[:, 0]
-
-    M = assemble_mass(cell.vertices, cell.triangles, coefficient=coef)
-    assert M.sum() == pytest.approx(0.5, abs=1e-12)
-    # quadratic form: int x1^3 over the square is 1/4 but x1^2 is not in the
-    # P1 space; use 1^T M u with u = x1 -> int x1 * x1 = 1/3 exactly since
-    # the integrand is quadratic and the default rule has degree 2
-    u = cell.vertices[:, 0].copy()
-    assert np.ones(len(u)).dot(M @ u) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    # the lumped weights of the stepper: positive row sums
+    assert _row_sums(M).min() > 0.0
 
 
 # ---------------------------------------------------------------------------
 # interface load
 
 
+def _uniform(value):
+    return lambda p: np.full(len(p), value)
+
+
 def test_interface_load_total_length(fluid_template):
     cell, _, _ = fluid_template
-    b = assemble_interface_load(cell.vertices, cell.interface_edges)
+    rule = quadrature("edge-gauss-4")
+    b = assemble_interface_load(cell.vertices, cell.interface_edges,
+                                _uniform(1.0), rule)
     assert b.sum() == pytest.approx(cell.interface_length, abs=1e-12)
-    b5 = assemble_interface_load(cell.vertices, cell.interface_edges, density=5.0)
+    b5 = assemble_interface_load(cell.vertices, cell.interface_edges,
+                                 _uniform(5.0), rule)
     assert b5.sum() == pytest.approx(5.0 * cell.interface_length, abs=1e-12)
 
 
@@ -245,7 +231,8 @@ def test_interface_load_linear_density_exact(fluid_template):
     def density(p):
         return p[:, 0]
 
-    b = assemble_interface_load(cell.vertices, cell.interface_edges, density=density)
+    b = assemble_interface_load(cell.vertices, cell.interface_edges, density,
+                                quadrature("edge-gauss-4"))
     # by symmetry the centroid of the polygon boundary is the center
     assert b.sum() == pytest.approx(0.5 * cell.interface_length, abs=1e-12)
 
@@ -254,12 +241,14 @@ def test_interface_load_zero_length_edge():
     verts = np.array([[0.0, 0.0], [0.0, 0.0]])
     edges = np.array([[0, 1]])
     with pytest.raises(AssemblyError):
-        assemble_interface_load(verts, edges)
+        assemble_interface_load(verts, edges, _uniform(1.0),
+                                quadrature("edge-gauss-4"))
 
 
 def test_edge_quadrature_points(fluid_template):
     cell, _, _ = fluid_template
-    pts, wts = edge_quadrature_points(cell.vertices, cell.interface_edges)
+    pts, wts = edge_quadrature_points(cell.vertices, cell.interface_edges,
+                                      quadrature("edge-gauss-2"))
     assert wts.sum() == pytest.approx(cell.interface_length, abs=1e-12)
     # all quadrature points lie near the inscribed circle
     r = np.linalg.norm(pts.reshape(-1, 2) - 0.5, axis=1)
@@ -360,7 +349,6 @@ def test_cg_identity():
     A = sp.identity(5, format="csr")
     b = np.arange(5.0)
     res = cg_solve(A, b, tol=1e-14)
-    assert res.converged
     assert res.iterations <= 1
     assert np.allclose(res.x, b, atol=1e-14)
 
@@ -384,9 +372,9 @@ def test_cg_singular_incompatible():
         cg_solve(A, b, tol=1e-12, max_iter=50)
     assert err.value.residual > 0.0
     assert not math.isnan(err.value.residual)
-    res = cg_solve(A, b, tol=1e-12, max_iter=50, raise_on_fail=False)
-    assert not res.converged
-    assert res.residual > 0.0 and not math.isnan(res.residual)
+    # the failure carries its final iterate for diagnostics
+    assert err.value.x.shape == (2,)
+    assert 0 < err.value.iterations <= 50
 
 
 @pytest.mark.parametrize("precond_kind", ["none", "regularized_lu"])
@@ -402,7 +390,6 @@ def test_cg_deflated_neumann(fluid_template, precond_kind):
     b = rng.normal(size=A.shape[0])
     b -= b.mean()
     res = cg_solve(A, b, tol=1e-11, deflate=True, precond=precond)
-    assert res.converged
     assert abs(res.x.mean()) <= 1e-12
     r = b - A @ res.x
     assert np.linalg.norm(r) / np.linalg.norm(b) <= 1e-10
@@ -418,7 +405,6 @@ def test_exact_preconditioner_takes_one_iteration(fluid_template):
     lu = _splu(B)
     for solve in (cg_solve, bicgstab_solve):
         res = solve(B, b, tol=1e-11, precond=lu.solve)
-        assert res.converged
         assert res.iterations == 1
         assert res.residual <= 1e-11
         assert np.linalg.norm(b - B @ res.x) / np.linalg.norm(b) == res.residual
@@ -470,7 +456,6 @@ def test_newton_saturated_system():
         return np.linalg.solve(J, f)
 
     res = newton_solve(residual, solve_lin, np.zeros(n))
-    assert res.converged
     assert np.linalg.norm(residual(res.x)) <= 1e-9
     assert res.iterations <= 10
 

@@ -133,7 +133,7 @@ def test_snapshot_grid_matches_micro():
     template = build_template_cell(
         UnitCellSpec(inclusion_radius=0.0, target_edge_length=1.0 / 8))
     tiled = tile_domain(template, 2)
-    const = CoefficientField.constant(1.0)
+    const = CoefficientField("field", 1.0)
     fields = MicroCoefficients(const, const, const,
                                GammaFunction("linear", alpha=1.0))
     micro = MicroProblem(tiled, p, fields, np.array([0.3, 0.7]))
@@ -152,7 +152,7 @@ def test_macro_matches_micro_on_same_mesh():
     template = build_template_cell(
         UnitCellSpec(inclusion_radius=0.0, target_edge_length=1.0 / 8))
     tiled = tile_domain(template, 2)
-    const = CoefficientField.constant(1.0)
+    const = CoefficientField("field", 1.0)
     gamma = GammaFunction("linear", alpha=1.0)
     initial = (lambda pts: 1.0 + 0.5 * np.cos(2.0 * np.pi * pts[:, 0]), 0.9)
     micro = MicroProblem(tiled, p, MicroCoefficients(const, const, const,
@@ -192,8 +192,8 @@ def test_pipeline_with_computed_coefficients():
     spec = UnitCellSpec(inclusion_radius=0.25, n_interface_segments=32,
                         target_edge_length=1.0 / 16)
     template = build_template_cell(spec)
-    const2 = CoefficientField.constant(2.0)
-    const1 = CoefficientField.constant(1.0)
+    const2 = CoefficientField("field", 2.0)
+    const1 = CoefficientField("field", 1.0)
     gamma = GammaFunction("linear", alpha=1.0)
     fields = MicroCoefficients(const2, const2, const1, gamma)
     eff = compute_effective(template, fields, K=8)

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from pnphom.effective import EffectiveCoefficients, compute_effective
 from pnphom.fem import ConvergenceFailure, assemble_mass
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
-from pnphom.macro import MacroProblem, macro_mesh
+from pnphom.macro import MacroProblem, equilibrium_residual, macro_mesh
 from pnphom.micro import (
     ConservationLedger,
     MicroCoefficients,
@@ -36,9 +36,9 @@ def square_mesh():
 
 def constant_fields(gamma=None):
     return MicroCoefficients(
-        rho_f=CoefficientField.constant(1.0, "rho_f"),
-        rho_s=CoefficientField.constant(1.0, "rho_s"),
-        eta=CoefficientField.constant(1.0, "eta"),
+        rho_f=CoefficientField("rho_f", 1.0),
+        rho_s=CoefficientField("rho_s", 1.0),
+        eta=CoefficientField("eta", 1.0),
         gamma=gamma or GammaFunction("linear", alpha=1.0))
 
 
@@ -379,6 +379,28 @@ def test_ledger_flags_and_csv(tmp_path):
     assert lines[2].endswith(",3")
 
 
+def test_ledger_charge_residuals_identity_and_pinned():
+    # F = 2, z+ = 1, z- = 2: pi_eps = -F (z+ M+ - z- M-) holds at every
+    # row while the masses drift, so the identity residual vanishes and the
+    # pinned residual is the drift of the charge from the first row
+    params = PnpParams(F_const=2.0, z_plus=1.0, z_minus=2.0)
+    ledger = ConservationLedger()
+    for t, m_plus, m_minus in ((0.0, 1.0, 0.25), (0.1, 1.5, 0.25),
+                               (0.2, 1.25, 0.5)):
+        ledger.add(t, m_plus, m_minus, -2.0 * (m_plus - 2.0 * m_minus),
+                   0.1, 1)
+    assert ledger.charge_identity_residuals(params).tolist() == [0.0] * 3
+    assert equilibrium_residual(ledger, params) == 0.0
+    assert ledger.pinned_charge_residuals(params).tolist() == [0.0, 1.0, 0.5]
+    # with conserved masses the two agree: both are the offset of pi_eps
+    ledger = ConservationLedger()
+    for t, offset in ((0.0, 0.0), (0.1, 0.25), (0.2, -0.125)):
+        ledger.add(t, 1.0, 0.25, -1.0 + offset, 0.1, 1)
+    expected = [0.0, 0.25, 0.125]
+    assert ledger.charge_identity_residuals(params).tolist() == expected
+    assert ledger.pinned_charge_residuals(params).tolist() == expected
+
+
 def test_snapshot_csv(coarse_mesh, tmp_path):
     params = PnpParams(dt=0.02, t_final=0.02)
     prob = MicroProblem(coarse_mesh, params, wiggly_fields(),
@@ -388,7 +410,7 @@ def test_snapshot_csv(coarse_mesh, tmp_path):
     write_snapshot(path, coarse_mesh, prob.fluid_ids, snaps[-1])
     lines = open(path).read().strip().split("\n")
     assert lines[0] == "vertex_id,x,y,conc_plus,conc_minus,potential"
-    assert len(lines) == prob.nv_fluid + 1
+    assert len(lines) == len(prob.fluid_ids) + 1
     row = lines[1].split(",")
     vid = int(row[0])
     assert np.allclose([float(row[1]), float(row[2])],
