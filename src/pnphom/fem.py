@@ -2,9 +2,9 @@
 
 Quadrature rules; vectorized assembly of stiffness and mass matrices (as
 canonical scipy CSR matrices), of drift matrices on a fixed mesh pattern
-and of interface-trace loads; the sparse LU; CG and BiCGStab through
-``scipy.sparse.linalg`` with iteration counts and constant deflation; and
-a damped Newton iteration for the nonlinear interface term.
+and of interface-trace loads; the sparse LU; CG through
+``scipy.sparse.linalg`` with an iteration count and constant deflation;
+and a damped Newton iteration for the nonlinear interface term.
 """
 
 import math
@@ -158,23 +158,6 @@ def map_triangle_quadrature(vertices, triangles, rule):
     return pts, wts
 
 
-def _eval_coefficient(coefficient, pts):
-    """Evaluate a 2x2-tensor or callable coefficient at stacked points."""
-    n = pts.shape[0]
-    arr = np.asarray(coefficient) if not callable(coefficient) else None
-    if arr is not None:
-        if arr.shape == (2, 2):
-            return np.broadcast_to(arr, (n, 2, 2)), True
-        raise AssemblyError("constant coefficient must be scalar or 2x2")
-    vals = np.asarray(coefficient(pts), dtype=float)
-    if vals.shape == (n,):
-        return vals, False
-    if vals.shape == (n, 2, 2):
-        return vals, True
-    raise AssemblyError(
-        "coefficient returned shape %r for %d points" % (vals.shape, n))
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -199,15 +182,15 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
     ----------
     vertices : (nv, 2) array
     triangles : (nt, 3) int array
-    coefficient : None, scalar, (2,2) array, or callable(points)->values
-        Scalar (nq,) or tensor (nq, 2, 2) values at the triangle-3pt
+    coefficient : None, (2,2) array, or callable(points)->values
+        A constant tensor, or scalar (nq,) values at the triangle-3pt
         quadrature points.
 
     Returns
     -------
     scipy CSR matrix, symmetric positive semidefinite with constants in
-    the kernel before any boundary handling.  A tensor coefficient whose
-    quadrature values are not symmetric raises AssemblyError.
+    the kernel before any boundary handling.  A tensor coefficient that is
+    not symmetric raises AssemblyError.
     """
     triangles = np.asarray(triangles)
     if triangles.shape[0] == 0:
@@ -217,26 +200,30 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
     nt = triangles.shape[0]
     nq = len(rule)
 
-    if coefficient is None or np.isscalar(coefficient):
-        c = 1.0 if coefficient is None else float(coefficient)
-        # grad_i . grad_j * area * c
-        local = np.einsum("tid,tjd->tij", grads, grads) * (c * areas)[:, None, None]
-    else:
+    if coefficient is None:
+        # grad_i . grad_j * area
+        local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
+    elif callable(coefficient):
         pts, wts = map_triangle_quadrature(vertices, triangles, rule)
-        vals, is_tensor = _eval_coefficient(coefficient, pts.reshape(-1, 2))
-        if is_tensor:
-            tens = vals.reshape(nt, nq, 2, 2)
-            skew = np.abs(tens - tens.swapaxes(2, 3)).max()
-            if skew > 1e-12:
-                raise AssemblyError(
-                    "tensor coefficient is not symmetric: |a - a^T| = %.3e"
-                    % skew)
-            weighted = np.einsum("tq,tqde->tde", wts, tens)
-            local = np.einsum("tid,tde,tje->tij", grads, weighted, grads)
-        else:
-            scal = vals.reshape(nt, nq)
-            csum = np.einsum("tq,tq->t", wts, scal)
-            local = np.einsum("tid,tjd->tij", grads, grads) * csum[:, None, None]
+        vals = np.asarray(coefficient(pts.reshape(-1, 2)), dtype=float)
+        if vals.shape != (nt * nq,):
+            raise AssemblyError("coefficient returned shape %r for %d points"
+                                % (vals.shape, nt * nq))
+        csum = np.einsum("tq,tq->t", wts, vals.reshape(nt, nq))
+        local = np.einsum("tid,tjd->tij", grads, grads) * csum[:, None, None]
+    else:
+        tensor = np.asarray(coefficient)
+        if tensor.shape != (2, 2):
+            raise AssemblyError("constant coefficient must be 2x2")
+        skew = np.abs(tensor - tensor.T).max()
+        if skew > 1e-12:
+            raise AssemblyError(
+                "tensor coefficient is not symmetric: |a - a^T| = %.3e"
+                % skew)
+        _, wts = map_triangle_quadrature(vertices, triangles, rule)
+        weighted = np.einsum("tq,tqde->tde", wts,
+                             np.broadcast_to(tensor, (nt, nq, 2, 2)))
+        local = np.einsum("tid,tde,tje->tij", grads, weighted, grads)
 
     return _sum_local(triangles, local, vertices.shape[0])
 
@@ -283,29 +270,19 @@ class MeshPattern:
         self.areas, self.grads = tri_geometry(vertices, triangles)
         rows = np.repeat(triangles, 3, axis=1).ravel().astype(np.int64)
         cols = np.tile(triangles, (1, 3)).ravel().astype(np.int64)
-        self._keys, self.slots = np.unique(rows * n + cols,
-                                           return_inverse=True)
-        self.rows, cols = np.divmod(self._keys, n)
-        self.nnz = self._keys.shape[0]
+        keys, self.slots = np.unique(rows * n + cols, return_inverse=True)
+        self.rows, cols = np.divmod(keys, n)
+        self.nnz = keys.shape[0]
         self.indices = cols.astype(np.int32)
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(
             np.int32)
-        self.transpose_slots = np.searchsorted(self._keys, cols * n + self.rows)
+        self.transpose_slots = np.searchsorted(keys, cols * n + self.rows)
         self.diagonal_slots = np.flatnonzero(self.rows == cols)
 
     def matrix(self, data):
         """CSR matrix with the given data on this pattern (no copy)."""
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
-
-    def data_of(self, matrix):
-        """Data array of a sparse matrix whose entries lie in the pattern."""
-        coo = sp.coo_matrix(matrix)
-        keys = coo.row.astype(np.int64) * self.n + coo.col
-        slots = np.minimum(np.searchsorted(self._keys, keys), self.nnz - 1)
-        if not np.array_equal(self._keys[slots], keys):
-            raise AssemblyError("matrix has entries outside the mesh pattern")
-        return np.bincount(slots, weights=coo.data, minlength=self.nnz)
 
     def gradient(self, values):
         """Piecewise-constant gradient of a P1 field, shape (nt, 2)."""
@@ -415,15 +392,19 @@ def _splu(matrix):
     return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
 
 
-def _krylov(name, A, b, tol, max_iter, x0, deflate, precond):
-    """Run scipy's ``cg`` or ``bicgstab`` and wrap the outcome.
+def cg_solve(A, b, tol=1e-11, max_iter=None, deflate=False, precond=None):
+    """Conjugate gradients (scipy's ``cg``) for symmetric positive
+    (semi)definite systems.
 
-    The preconditioner is applied through an operator that counts its calls:
-    CG applies it once per iteration, BiCGStab twice, and once in a final
-    half step, which counts as an iteration.  With ``deflate=True`` the
-    operator and the preconditioner both project onto the mean-zero
-    subspace.  The reported residual is the true ||b - A x|| / ||b||; a
-    solve that does not reach ``tol`` raises ConvergenceFailure.
+    With ``deflate=True`` the solve runs in the mean-zero subspace, which
+    handles the pure-Neumann kernel of constants: the operator, the
+    right-hand side and the preconditioner are projected and the solution
+    has zero mean.  ``precond`` is an optional symmetric positive
+    preconditioner, a callable r -> z, applied through an operator that
+    counts its calls, one per iteration.
+
+    Returns a SolveResult whose residual is the true ||b - A x|| / ||b||;
+    a solve that does not reach ``tol`` raises ConvergenceFailure.
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -434,8 +415,6 @@ def _krylov(name, A, b, tol, max_iter, x0, deflate, precond):
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0)
-    if x0 is not None:
-        x0 = project(np.asarray(x0, dtype=float))
     calls = 0
 
     def apply_precond(r):
@@ -448,46 +427,20 @@ def _krylov(name, A, b, tol, max_iter, x0, deflate, precond):
         op = spla.LinearOperator(A.shape, matvec=lambda v: project(A @ v),
                                  dtype=float)
     M = spla.LinearOperator(A.shape, matvec=apply_precond, dtype=float)
-    solver = spla.cg if name == "cg" else spla.bicgstab
     # a singular system can divide by zero; the residual below reports it
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, info = solver(op, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
-                         M=M)
+        x, info = spla.cg(op, b, rtol=tol, atol=0.0, maxiter=max_iter, M=M)
         x = project(x)
         res = float(np.linalg.norm(b - op @ x)) / bnorm
     if not math.isfinite(res):
         res = math.inf
-    it = calls if name == "cg" else (calls + 1) // 2
     # scipy's breakdown thresholds are absolute, so an early exit (info < 0)
     # is judged by its true residual
     if info != 0 and res > tol:
         raise ConvergenceFailure(
-            "%s failed: residual %.3e after %d iterations" % (name, res, it),
-            res, it, x)
-    return SolveResult(x, it, res)
-
-
-def cg_solve(A, b, tol=1e-11, max_iter=None, deflate=False, precond=None):
-    """Conjugate gradients for symmetric positive (semi)definite systems.
-
-    With ``deflate=True`` the solve runs in the mean-zero subspace, which
-    handles the pure-Neumann kernel of constants: the right-hand side is
-    projected and the solution has zero mean.  ``precond`` is an optional
-    symmetric positive preconditioner, a callable r -> z.
-
-    Returns a SolveResult; raises ConvergenceFailure when the iteration
-    budget is exhausted.
-    """
-    return _krylov("cg", A, b, tol, max_iter, None, deflate, precond)
-
-
-def bicgstab_solve(A, b, tol=1e-11, max_iter=None, x0=None, precond=None):
-    """BiCGStab for general square systems from the initial guess x0; same
-    contract as cg_solve.
-
-    ``precond`` is a callable v -> z applied as a right preconditioner.
-    """
-    return _krylov("bicgstab", A, b, tol, max_iter, x0, False, precond)
+            "cg failed: residual %.3e after %d iterations" % (res, calls),
+            res, calls, x)
+    return SolveResult(x, calls, res)
 
 
 _NEWTON_HALVINGS = 10  # step halvings per Newton iteration before giving up

@@ -8,12 +8,14 @@ the fast periodic coordinate; the interface carries the nonlinear charge
 relation kappa(u) = -eta * gamma(u) through a scaled surface term.
 
 Discretization: P1 elements, lumped mass in the time derivative, backward
-Euler in increment form, Gummel (Picard) alternation between the species
-transport solves and the Poisson solve inside each step.  Mass and the
-scaled surface charge functional are conserved to solver precision because
-every transport operator has zero column sums up to rounding; the
-conservation ledger records both at every step together with the discrete
-weak-form charge identity.
+Euler in increment form, Gummel (Picard) iteration inside each step.  Each
+iterate takes one back-substitution per species with the LU of
+W/dt + D A, the drift acting on the previous iterate, then one Poisson
+solve; the fixed point is the backward Euler step.  Mass and the scaled
+surface charge functional are conserved to solver precision at every
+iterate because every transport operator has zero column sums up to
+rounding; the conservation ledger records both at every step together with
+the discrete weak-form charge identity.
 
 The stepper (``_Transport``) takes its operators from the caller: lumped
 mass weights, species stiffness, drift velocity map, Poisson operator,
@@ -42,7 +44,6 @@ from .fem import (
     cg_solve,
     newton_solve,
     quadrature,
-    bicgstab_solve,
 )
 from .randomfield import eval_field_eps
 
@@ -60,7 +61,8 @@ class PnpParams:
     F_const : charge scaling in the Poisson right-hand side
     dt, t_final : time step and horizon; dt must divide t_final
     gummel_max, gummel_tol : outer coupling iteration control
-    linear_tol : relative tolerance of the inner linear solves
+    linear_tol : relative tolerance of the CG solves of the Poisson
+        equation (pure-Neumann and Newton paths)
     n_outputs : number of uniform snapshot intervals (plus t = 0)
     upwind : add algebraic artificial diffusion to the drift term
     """
@@ -281,19 +283,17 @@ class _Transport:
         else:
             slope = gamma.derivative(0.0)
             self._poisson_prec = _splu(A + sp.diags(scale * slope * vec)).solve
-        # the species matrices diag(weights)/dt + D A_species on the fixed
-        # pattern the drift term is filled into; one LU per distinct D
+        # the drift is filled into the fixed pattern of the species mesh; the
+        # species matrices diag(weights)/dt + D A_species get one LU per
+        # distinct D
         self._pattern = MeshPattern(vertices, triangles)
         dtm = sp.diags(weights).tocsr() / params.dt
-        self._np_base = {}
-        self._np_prec = {}
+        self._species_lu = {}
         lus = {}
         for s, D in ((+1, params.D_plus), (-1, params.D_minus)):
-            B = dtm + D * A_species
             if D not in lus:
-                lus[D] = _splu(B).solve
-            self._np_prec[s] = lus[D]
-            self._np_base[s] = self._pattern.data_of(B)
+                lus[D] = _splu(dtm + D * A_species).solve
+            self._species_lu[s] = lus[D]
 
     # -- quantities -------------------------------------------------------
 
@@ -375,16 +375,21 @@ class _Transport:
     def step_nernst_planck(self, state):
         """Advance one backward Euler step with Gummel coupling.
 
-        Returns the number of Gummel iterations used.  Raises
-        ConvergenceFailure when the coupling does not settle within
-        gummel_max iterations.
+        Each iterate updates the species by one back-substitution per
+        species with the drift acting on the previous iterate,
+        (W/dt + D A) (u_k+1 - u_old) = -D A u_old - K(phi_k) u_k, and then
+        solves the Poisson equation; the fixed point is the backward Euler
+        step.  Returns the number of Gummel iterations used.  Raises
+        ConvergenceFailure when an iterate is not finite or the coupling
+        does not settle within gummel_max iterations.
         """
         p = self.params
         pattern = self._pattern
         ids = self._species_mesh[2]
         u_old = {+1: state.conc_plus, -1: state.conc_minus}
-        u_new = {s: u_old[s].copy() for s in (+1, -1)}
-        delta_prev = {s: None for s in (+1, -1)}
+        diffusion = {+1: -p.D_plus * (self._A_species @ u_old[+1]),
+                     -1: -p.D_minus * (self._A_species @ u_old[-1])}
+        u_new = dict(u_old)
         change = math.inf
         for it in range(1, p.gummel_max + 1):
             velocity = pattern.gradient(state.potential[ids])
@@ -392,29 +397,26 @@ class _Transport:
                 velocity = velocity.dot(self._drift_map.T)
             # one drift fill for both species: they differ by a factor
             K = assemble_drift(pattern, velocity).data
-            prev = {s: u_new[s].copy() for s in (+1, -1)}
+            changes = []
             for s in (+1, -1):
                 D = p.D_plus if s > 0 else p.D_minus
                 z = p.z_plus if s > 0 else p.z_minus
                 kd = (s * D * p.c * z) * K
                 if p.upwind:
                     kd = kd + pattern.upwind_laplacian(kd)
-                B = pattern.matrix(self._np_base[s] + kd)
-                rhs = -(D * (self._A_species @ u_old[s])
-                        + pattern.matrix(kd).dot(u_old[s]))
-                res = bicgstab_solve(B, rhs, tol=p.linear_tol,
-                                     precond=self._np_prec[s],
-                                     x0=delta_prev[s], max_iter=2000)
-                delta_prev[s] = res.x
-                u_new[s] = u_old[s] + res.x
+                u = u_old[s] + self._species_lu[s](
+                    diffusion[s] - pattern.matrix(kd) @ u_new[s])
+                scale = max(float(np.abs(u).max()), 1.0)
+                changes.append(float(np.abs(u - u_new[s]).max()) / scale)
+                u_new[s] = u
+            # np.max, unlike max, propagates a NaN
+            change = float(np.max(changes))
+            if not math.isfinite(change):
+                raise ConvergenceFailure(
+                    "Gummel iterate %d is not finite" % it, change, it, None)
             state.conc_plus = u_new[+1]
             state.conc_minus = u_new[-1]
             self.solve_poisson(state)
-            change = 0.0
-            for s in (+1, -1):
-                scale = max(float(np.abs(u_new[s]).max()), 1.0)
-                change = max(change,
-                             float(np.abs(u_new[s] - prev[s]).max()) / scale)
             if change <= p.gummel_tol:
                 state.t += p.dt
                 state.check_finite()

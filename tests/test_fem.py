@@ -15,7 +15,6 @@ from pnphom.fem import (
     assemble_interface_load,
     assemble_mass,
     assemble_stiffness,
-    bicgstab_solve,
     cg_solve,
     edge_quadrature_points,
     map_triangle_quadrature,
@@ -167,15 +166,6 @@ def test_stiffness_rejects_nonsymmetric_tensor():
     with pytest.raises(AssemblyError):
         assemble_stiffness(cell.vertices, cell.triangles,
                            coefficient=np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def skewed(p):
-        vals = np.zeros((len(p), 2, 2))
-        vals[:, 0, 0] = vals[:, 1, 1] = 1.0
-        vals[:, 0, 1] = 1e-9 * p[:, 0]
-        return vals
-
-    with pytest.raises(AssemblyError):
-        assemble_stiffness(cell.vertices, cell.triangles, coefficient=skewed)
     A = assemble_stiffness(cell.vertices, cell.triangles,
                            coefficient=np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert abs(A - A.T).max() <= 1e-15
@@ -316,18 +306,6 @@ def test_drift_fill_matches_element_formula(drift_mesh):
         assemble_drift(pattern, velocity[1:])
 
 
-def test_mesh_pattern_holds_stiffness_structural_zeros(drift_mesh):
-    verts, tris, _ = drift_mesh
-    pattern = MeshPattern(verts, tris)
-    A = assemble_stiffness(verts, tris)
-    assert np.array_equal(pattern.matrix(pattern.data_of(A)).toarray(),
-                          A.toarray())
-    n = len(verts)
-    far = sp.coo_matrix(([1.0], ([0], [n - 1])), shape=(n, n))
-    with pytest.raises(AssemblyError):
-        pattern.data_of(far)
-
-
 def test_upwind_laplacian_on_pattern(drift_mesh):
     verts, tris, velocity = drift_mesh
     pattern = MeshPattern(verts, tris)
@@ -396,18 +374,15 @@ def test_cg_deflated_neumann(fluid_template, precond_kind):
 
 
 def test_exact_preconditioner_takes_one_iteration(fluid_template):
-    # the bench counters read SolveResult.iterations: one per CG step, and
-    # one per BiCGStab step, whose half-step exit also counts as one
+    # the bench counters read SolveResult.iterations: one per CG step
     cell, ids, tris = fluid_template
     verts = cell.vertices[ids]
     B = assemble_mass(verts, tris) / 0.02 + assemble_stiffness(verts, tris)
     b = np.sin(np.arange(B.shape[0]) * 0.1)
-    lu = _splu(B)
-    for solve in (cg_solve, bicgstab_solve):
-        res = solve(B, b, tol=1e-11, precond=lu.solve)
-        assert res.iterations == 1
-        assert res.residual <= 1e-11
-        assert np.linalg.norm(b - B @ res.x) / np.linalg.norm(b) == res.residual
+    res = cg_solve(B, b, tol=1e-11, precond=_splu(B).solve)
+    assert res.iterations == 1
+    assert res.residual <= 1e-11
+    assert np.linalg.norm(b - B @ res.x) / np.linalg.norm(b) == res.residual
 
 
 def test_cg_determinism(fluid_template):
@@ -419,24 +394,6 @@ def test_cg_determinism(fluid_template):
     r2 = cg_solve(A, b, tol=1e-11, deflate=True)
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
-
-
-def test_bicgstab_nonsymmetric():
-    rng = np.random.default_rng(0)
-    n = 60
-    A = np.eye(n) * 4.0 + 0.5 * rng.normal(size=(n, n)) / math.sqrt(n)
-    b = rng.normal(size=n)
-    x_ref = np.linalg.solve(A, b)
-    res = bicgstab_solve(sp.csr_matrix(A), b, tol=1e-12)
-    assert np.linalg.norm(res.x - x_ref) <= 1e-8
-
-
-def test_bicgstab_failure():
-    A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    with pytest.raises(ConvergenceFailure) as err:
-        bicgstab_solve(A, np.array([1.0, 1.0]), max_iter=20)
-    assert err.value.residual > 0.0
-    assert not math.isnan(err.value.residual)
 
 
 def test_newton_saturated_system():

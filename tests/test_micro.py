@@ -7,7 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pnphom.effective import EffectiveCoefficients, compute_effective
-from pnphom.fem import ConvergenceFailure, assemble_mass
+from pnphom.fem import (
+    ConvergenceFailure,
+    MeshPattern,
+    assemble_drift,
+    assemble_mass,
+)
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 from pnphom.macro import MacroProblem, equilibrium_residual, macro_mesh
 from pnphom.micro import (
@@ -222,6 +227,43 @@ def test_single_step_mass_change(coarse_mesh):
     assert abs(m1[1] - m0[1]) / m0[1] <= 1e-10
 
 
+def test_step_matches_backward_euler_oracle(coarse_mesh):
+    # the Gummel fixed point is the backward Euler step with the drift at
+    # the final potential: (W/dt + D A + s D c z K(phi)) u = W u_old / dt
+    params = PnpParams(D_minus=0.5, c=2.0)
+    prob = MicroProblem(coarse_mesh, params, wiggly_fields(),
+                        sample_omega(5).omega)
+    state = prob.initial_condition((bump, 0.9))
+    u_old = {+1: state.conc_plus.copy(), -1: state.conc_minus.copy()}
+    prob.step_nernst_planck(state)
+    pattern = MeshPattern(prob.fluid_vertices, prob.fluid_tris)
+    K = assemble_drift(pattern,
+                       pattern.gradient(state.potential[prob.fluid_ids]))
+    W = sp.diags(prob.mass_vec) / params.dt
+    for s, D, z, u in ((+1, params.D_plus, params.z_plus, state.conc_plus),
+                       (-1, params.D_minus, params.z_minus,
+                        state.conc_minus)):
+        B = W + D * prob.A_fluid + (s * D * params.c * z) * K
+        ref = spla.spsolve(sp.csc_matrix(B), W @ u_old[s])
+        assert np.abs(u - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def test_one_back_substitution_per_species_per_iterate(coarse_mesh):
+    params = PnpParams(D_minus=0.5, t_final=0.06)
+    prob = MicroProblem(coarse_mesh, params, wiggly_fields(),
+                        sample_omega(5).omega)
+    calls = {+1: 0, -1: 0}
+    for s, solve in list(prob._species_lu.items()):
+        def counting(rhs, s=s, solve=solve):
+            calls[s] += 1
+            return solve(rhs)
+        prob._species_lu[s] = counting
+    snaps, ledger = prob.run((bump, 0.9))
+    iters = sum(row["gummel_iters"] for row in ledger.rows)
+    assert iters >= params.n_steps()
+    assert calls == {+1: iters, -1: iters}
+
+
 def test_upwind_flag_preserves_mass(coarse_mesh):
     params = PnpParams(dt=0.02, t_final=0.04, upwind=True)
     prob = MicroProblem(coarse_mesh, params, wiggly_fields(),
@@ -342,6 +384,17 @@ def test_run_gummel_failure_carries_ledger(coarse_mesh):
         prob.run((bump, 0.9))
     assert len(err.value.ledger.rows) >= 1
     assert len(err.value.snapshots) >= 1
+
+
+def test_run_nonfinite_iterate_fails(coarse_mesh):
+    # a drift this strong makes the lagged iterates overflow; the step fails
+    # at that iterate rather than taking a NaN change as converged
+    params = PnpParams(c=16.0, F_const=10.0)
+    prob = MicroProblem(coarse_mesh, params, wiggly_fields(),
+                        sample_omega(7).omega)
+    with pytest.raises(MicroRunError,
+                       match=r"Gummel iterate \d+ is not finite"):
+        prob.run((bump, 0.9))
 
 
 def test_run_determinism(coarse_mesh, tmp_path):

@@ -9,10 +9,16 @@ import pickle
 import numpy as np
 import pytest
 
+from pnphom import sweep
 from pnphom.config import load_config
 from pnphom.geometry import UnitCellSpec, build_template_cell
 from pnphom.macro import MacroProblem, macro_mesh
-from pnphom.micro import ConservationLedger, MicroState, PnpParams
+from pnphom.micro import (
+    ConservationLedger,
+    MicroProblem,
+    MicroState,
+    PnpParams,
+)
 from pnphom.randomfield import GammaFunction
 from pnphom.sweep import (
     COLUMNS,
@@ -194,6 +200,27 @@ def test_micro_run_row_failure_status():
     assert row["status"] == "failed:ValueError"
     assert np.isnan(row["err_conc_plus"])
     assert row["wall_time"] > 0.0
+
+
+def test_diverging_fine_run_is_a_failed_row(monkeypatch):
+    # the limit run keeps the config's physics; the first fine run gets a
+    # drift strong enough for its Gummel iterates to overflow
+    cfg = small_config()
+    strong = PnpParams(**dict(vars(cfg.pnp), c=16.0, F_const=10.0))
+    built = []
+
+    def problem(mesh, params, fields, omega):
+        built.append(omega)
+        return MicroProblem(mesh, strong if len(built) == 1 else params,
+                            fields, omega)
+
+    monkeypatch.setattr(sweep, "MicroProblem", problem)
+    report, _ = run_sweep(cfg)
+    rows = report.data_rows()
+    assert [r["status"] for r in rows] == ["failed:MicroRunError", "ok"]
+    assert np.isnan(rows[0]["err_conc_plus"])
+    assert np.isfinite(rows[1]["err_conc_plus"])
+    assert report.aggregate_rows()[0]["status"] == "mean[1/2]"
 
 
 @pytest.fixture(scope="module")
