@@ -181,9 +181,6 @@ class ExperimentConfig:
             make_initial_function(data["initial"]["plus"], "initial.plus"),
             make_initial_function(data["initial"]["minus"], "initial.minus"))
 
-    def to_json_dict(self):
-        return copy.deepcopy(self.data)
-
 
 def load_config(path=None, overrides=None):
     """Load a config JSON file merged over the defaults.

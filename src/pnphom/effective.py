@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .fem import (
-    _splu,
+    _bordered_solver,
     edge_quadrature_points,
     map_triangle_quadrature,
     quadrature,
@@ -99,10 +99,7 @@ class _PeriodicOperator:
         self.weights = weights
         self.P = _projector(rep)
         self.Ac = (self.P.T @ A_csr @ self.P).tocsr()
-        wc = self.P.T @ weights
-        bordered = sp.bmat([[self.Ac, wc[:, None]], [wc[None, :], None]],
-                           format="csc")
-        self.lu = _splu(bordered)
+        self._solve = _bordered_solver(self.Ac, self.P.T @ weights)
 
     def solve(self, b):
         """Solve A u = -b with weighted mean zero.
@@ -111,8 +108,7 @@ class _PeriodicOperator:
         residual of the condensed equation.
         """
         bc = self.P.T @ b
-        x = self.lu.solve(np.concatenate([-bc, [0.0]]))
-        uc = x[:-1]
+        uc = self._solve(-bc)
         resid = np.linalg.norm(self.Ac.dot(uc) + bc)
         scale = max(np.linalg.norm(bc), 1.0)
         return self.P.dot(uc), resid / scale

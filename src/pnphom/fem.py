@@ -2,9 +2,10 @@
 
 Quadrature rules; vectorized assembly of stiffness and mass matrices (as
 canonical scipy CSR matrices), of drift matrices on a fixed mesh pattern
-and of interface-trace loads; the sparse LU; CG through
-``scipy.sparse.linalg`` with an iteration count and constant deflation;
-and a damped Newton iteration for the nonlinear interface term.
+and of interface-trace loads; the sparse LU and the bordered LU of a
+problem whose kernel is the constants; CG through ``scipy.sparse.linalg``
+with an iteration count; and a damped Newton iteration for the nonlinear
+interface term.
 """
 
 import math
@@ -392,16 +393,32 @@ def _splu(matrix):
     return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
 
 
-def cg_solve(A, b, tol=1e-11, max_iter=None, deflate=False, precond=None):
-    """Conjugate gradients (scipy's ``cg``) for symmetric positive
-    (semi)definite systems.
+def _bordered_solver(A, border):
+    """Solver of A u = b subject to border . u = 0, for a symmetric A whose
+    kernel is the constants.
 
-    With ``deflate=True`` the solve runs in the mean-zero subspace, which
-    handles the pure-Neumann kernel of constants: the operator, the
-    right-hand side and the preconditioner are projected and the solution
-    has zero mean.  ``precond`` is an optional symmetric positive
-    preconditioner, a callable r -> z, applied through an operator that
-    counts its calls, one per iteration.
+    One LU of the bordered (Lagrange-multiplier) matrix
+    [[A, border], [border^T, 0]], which is nonsingular when border is not
+    orthogonal to the constants; each solve is one back-substitution.  The
+    multiplier lambda = sum(b) / sum(border) takes up the part of b outside
+    the range of A: u solves A u = b - lambda border.
+    """
+    lu = _splu(sp.bmat([[A, border[:, None]], [border[None, :], None]],
+                       format="csc"))
+
+    def solve(b):
+        return lu.solve(np.concatenate([b, [0.0]]))[:-1]
+
+    return solve
+
+
+def cg_solve(A, b, tol=1e-11, max_iter=None, precond=None):
+    """Conjugate gradients (scipy's ``cg``) for symmetric positive definite
+    systems.
+
+    ``precond`` is an optional symmetric positive preconditioner, a callable
+    r -> z, applied through an operator that counts its calls, one per
+    iteration.
 
     Returns a SolveResult whose residual is the true ||b - A x|| / ||b||;
     a solve that does not reach ``tol`` raises ConvergenceFailure.
@@ -410,8 +427,6 @@ def cg_solve(A, b, tol=1e-11, max_iter=None, deflate=False, precond=None):
     b = np.asarray(b, dtype=float)
     if max_iter is None:
         max_iter = max(1000, 10 * n)
-    project = (lambda v: v - v.mean()) if deflate else (lambda v: v)
-    b = project(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0)
@@ -420,18 +435,13 @@ def cg_solve(A, b, tol=1e-11, max_iter=None, deflate=False, precond=None):
     def apply_precond(r):
         nonlocal calls
         calls += 1
-        return project(r if precond is None else precond(r))
+        return r if precond is None else precond(r)
 
-    op = A
-    if deflate:
-        op = spla.LinearOperator(A.shape, matvec=lambda v: project(A @ v),
-                                 dtype=float)
     M = spla.LinearOperator(A.shape, matvec=apply_precond, dtype=float)
     # a singular system can divide by zero; the residual below reports it
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, info = spla.cg(op, b, rtol=tol, atol=0.0, maxiter=max_iter, M=M)
-        x = project(x)
-        res = float(np.linalg.norm(b - op @ x)) / bnorm
+        x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=M)
+        res = float(np.linalg.norm(b - A @ x)) / bnorm
     if not math.isfinite(res):
         res = math.inf
     # scipy's breakdown thresholds are absolute, so an early exit (info < 0)
@@ -458,7 +468,8 @@ def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25):
 
     Returns
     -------
-    SolveResult whose ``iterations`` counts Newton steps.
+    SolveResult whose ``iterations`` counts Newton steps.  A residual that
+    stays above the tolerance, or is not finite, raises ConvergenceFailure.
     """
     x = np.array(x0, dtype=float)
     f = residual(x)
@@ -483,7 +494,8 @@ def newton_solve(residual, solve_linearized, x0, tol=1e-10, max_iter=25):
                 "newton line search stalled at residual %.3e" % fnorm,
                 fnorm / scale, it, x)
         it += 1
-    if fnorm > tol * scale:
+    # a NaN residual fails this test, so it is reported, not returned
+    if not fnorm <= tol * scale:
         raise ConvergenceFailure(
             "newton failed: residual %.3e after %d iterations" % (fnorm, it),
             fnorm / scale, it, x)

@@ -36,6 +36,7 @@ import scipy.sparse as sp
 from .fem import (
     ConvergenceFailure,
     MeshPattern,
+    _bordered_solver,
     _splu,
     assemble_drift,
     assemble_interface_load,
@@ -61,8 +62,8 @@ class PnpParams:
     F_const : charge scaling in the Poisson right-hand side
     dt, t_final : time step and horizon; dt must divide t_final
     gummel_max, gummel_tol : outer coupling iteration control
-    linear_tol : relative tolerance of the CG solves of the Poisson
-        equation (pure-Neumann and Newton paths)
+    linear_tol : relative tolerance of the CG solves of the Newton
+        Poisson path
     n_outputs : number of uniform snapshot intervals (plus t = 0)
     upwind : add algebraic artificial diffusion to the drift term
     """
@@ -239,8 +240,9 @@ class _Transport:
     sets ``omega`` (the sample its states carry, or None), assembles its
     operators, passes them to ``_setup`` and defines ``charge_rhs(state)``,
     the right-hand side of the Poisson equation.
-    The factorizations, the Poisson branches (direct LU, deflated CG for a
-    problem without surface term, Newton for a nonlinear surface term),
+    The factorizations, the Poisson branches (direct LU, a bordered LU that
+    fixes the mean of a problem without surface term, Newton for a
+    nonlinear surface term),
     the Gummel loop, the snapshot grid and the ledger are shared.
     """
 
@@ -274,9 +276,8 @@ class _Transport:
         self._poisson_direct = None
         self._poisson_prec = None
         if not self.has_surface:
-            # pure Neumann problem: regularize the preconditioner only
-            reg = np.full(A.shape[0], 1e-8 * max(A.diagonal().max(), 1.0))
-            self._poisson_prec = _splu(A + sp.diags(reg)).solve
+            # pure Neumann problem: the potential with algebraic mean zero
+            self._poisson_direct = _bordered_solver(A, np.ones(A.shape[0]))
         elif gamma.kind == "linear":
             self._poisson_direct = _splu(
                 A + sp.diags(scale * gamma.alpha * vec)).solve
@@ -345,16 +346,11 @@ class _Transport:
     def solve_poisson(self, state):
         """Update state.potential from the current concentrations."""
         b = self.charge_rhs(state)
-        A = self._A_poisson
-        tol = self.params.linear_tol
         if self._poisson_direct is not None:
             state.potential = self._poisson_direct(b)
-        elif not self.has_surface:
-            # pure Neumann: fix the additive gauge
-            state.potential = cg_solve(A, b, tol=tol, deflate=True,
-                                       precond=self._poisson_prec,
-                                       max_iter=5000).x
         else:
+            A = self._A_poisson
+            tol = self.params.linear_tol
             gamma = self.gamma
             scale, vec = self._surface
             w = scale * vec

@@ -150,18 +150,7 @@ class CoefficientField:
         """Exact mean over both arguments (the constant coefficient)."""
         return self.base_value
 
-    def is_constant(self):
-        return not self.y_modes and not self.w_modes
-
     # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "base": self.base_value,
-            "floor": self.floor,
-            "y_modes": [[list(k), a] for k, a in self.y_modes],
-            "w_modes": [[list(k), a] for k, a in self.w_modes],
-        }
 
     @classmethod
     def from_json_dict(cls, data, name="field"):
@@ -234,23 +223,6 @@ class GammaFunction:
             s = self.saturation_scale
             val = self.alpha + (self.lipschitz - self.alpha) / np.cosh(r / s) ** 2
         return val if val.ndim else float(val)
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "lipschitz": self.lipschitz,
-            "saturation_scale": self.saturation_scale,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(
-            kind=data.get("kind", "linear"),
-            alpha=data.get("alpha", 1.0),
-            lipschitz=data.get("lipschitz"),
-            saturation_scale=data.get("saturation_scale", 1.0),
-        )
 
 
 def eval_field_eps(field, omega, x, eps):

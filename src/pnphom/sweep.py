@@ -156,10 +156,6 @@ class MacroReference:
              3 * np.arange(pts.shape[0] + 1)),
             shape=(pts.shape[0], self.mesh.vertices.shape[0]))
 
-    def evaluate(self, name, snapshot_index, points):
-        field = getattr(self.snapshots[snapshot_index], name)
-        return self.interpolation_matrix(points) @ field
-
 
 def compare_trajectories(problem, snapshots, reference):
     """Relative L2 errors of a fine trajectory against the reference.

@@ -86,6 +86,10 @@ class TrigFactor:
                 total += a * math.cos(ph)
         return total
 
+    def squared_integral(self):
+        """Exact mean of the square over the torus, by the self-product."""
+        return (self * self).integral()
+
     def min_bound(self):
         lo = self.const
         for a, k, ph in self.terms:
@@ -113,7 +117,7 @@ class TrigFactor:
     __rmul__ = __mul__
 
     def abs_power_integral(self, p):
-        return _abs_power_integral(self, p, torus=True)
+        return _abs_power_integral(self, p)
 
 
 class CosProductFactor:
@@ -168,9 +172,6 @@ class CosProductFactor:
                 lo -= abs(a)
         return lo
 
-    def is_constant(self):
-        return all(q == (0, 0) for _, q in self.terms)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return CosProductFactor([(a * other, q) for a, q in self.terms])
@@ -187,18 +188,15 @@ class CosProductFactor:
     __rmul__ = __mul__
 
     def abs_power_integral(self, p):
-        return _abs_power_integral(self, p, torus=False)
+        return _abs_power_integral(self, p)
 
 
-def _abs_power_integral(factor, p, torus):
+def _abs_power_integral(factor, p):
     """Mean of |factor|^p over the unit square, closed form when available."""
     if p == 1 and factor.min_bound() >= 0.0:
         return factor.integral()
-    if p == 2 and hasattr(factor, "squared_integral"):
+    if p == 2:
         return factor.squared_integral()
-    if p == 2 and isinstance(factor, TrigFactor):
-        prod = factor * factor
-        return prod.integral()
     # numeric fallback on a fine midpoint grid (the |.| kink forbids a
     # spectral argument); cached per (factor, p)
     cache = getattr(factor, "_abs_cache", None)
@@ -210,14 +208,6 @@ def _abs_power_integral(factor, p, torus):
         vals = np.abs(factor.value_outer(u, u)) ** p
         cache[p] = float(vals.mean())
     return cache[p]
-
-
-# TrigFactor squared integral via self-product (exact)
-def _trig_squared_integral(self):
-    return (self * self).integral()
-
-
-TrigFactor.squared_integral = _trig_squared_integral
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +328,10 @@ def volume_oscillation(a, eps, M=64, base_seed=0):
     vals = np.empty(M_eff)
     p = a.p
     for i, w in enumerate(_mc_samples(M_eff, base_seed)):
-        G = _shifted_trig_outer(a.g, w, n * x1, n * x1)
+        # g(w + u): each phase of g shifted by 2 pi k.w
+        G = TrigFactor(a.g.const, [
+            (amp, k, 2.0 * math.pi * (k[0] * w[0] + k[1] * w[1]) + ph)
+            for amp, k, ph in a.g.terms]).value_outer(n * x1, n * x1)
         prod = FH * G
         if p == 1.0:
             np.abs(prod, out=prod)
@@ -350,18 +343,6 @@ def volume_oscillation(a, eps, M=64, base_seed=0):
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(M_eff)) if M_eff > 1 else 0.0
     return OscillationEstimate(value, stderr, M_eff, eps, detail="N=%d" % N)
-
-
-def _shifted_trig_outer(g, w, u1, u2):
-    """Evaluate g(w + u) on the tensor grid u1 x u2 for a TrigFactor g."""
-    out = np.full((len(u1), len(u2)), g.const)
-    for amp, (k1, k2), ph in g.terms:
-        psi = 2.0 * math.pi * (k1 * w[0] + k2 * w[1]) + ph
-        A = 2.0 * math.pi * k1 * u1
-        B = 2.0 * math.pi * k2 * u2 + psi
-        out += amp * (np.outer(np.cos(A), np.cos(B))
-                      - np.outer(np.sin(A), np.sin(B)))
-    return out
 
 
 def surface_oscillation(a, mesh, eps, M=64, base_seed=0):

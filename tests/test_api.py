@@ -5,6 +5,8 @@ import ast
 import glob
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "pnphom")
 
@@ -36,33 +38,111 @@ ALLOWED = {
 
 
 def _sources():
-    """The package and the benchmark, without the benchmark's own tests."""
+    """(module, source, in package) of the package and of the benchmark,
+    without the benchmark's own tests."""
     bench = [path for path in glob.glob(os.path.join(ROOT, "bench", "*.py"))
              if not os.path.basename(path).startswith("test_")]
-    return sorted(glob.glob(os.path.join(PACKAGE, "*.py"))) + sorted(bench)
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py"))) + sorted(bench)
+    return [(os.path.basename(path)[:-3], open(path).read(),
+             os.path.dirname(path) == PACKAGE) for path in paths]
 
 
 def _names(nodes):
-    """(names and attribute names, attribute names) in the statements."""
-    names, attributes = set(), set()
+    """Names and attribute names in the statements."""
+    names = set()
     for stmt in nodes:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-    return names | attributes, attributes
+                names.add(node.attr)
+    return names
 
 
-def _calls(nodes, cls_name):
-    """(callee name, call) for every call in the given statements.
+class _Classes:
+    """The package's classes, to resolve the receiver of an attribute.
 
-    The callee is the called name or attribute; ``cls(...)`` counts as a
-    call of the enclosing class ``cls_name``.
+    A receiver resolves to the classes whose methods it can reach:
+    ``self``/``cls`` to the enclosing class with its bases and subclasses;
+    a name every binding of which in the unit is ``x = Class(...)`` or
+    ``x = module.Class(...)``, ``Class`` and ``module.Class`` to that
+    class with its bases.  Any other receiver resolves to every class,
+    which is matching by name.
     """
-    out = []
+
+    def __init__(self, bases):
+        self.bases = {c: [b for b in bs if b in bases]
+                      for c, bs in bases.items()}
+
+    def lineage(self, cls):
+        """cls and its bases, transitively."""
+        out = {cls}
+        for base in self.bases[cls]:
+            out |= self.lineage(base)
+        return out
+
+    def family(self, cls):
+        """cls with its bases and its subclasses."""
+        return self.lineage(cls) | {c for c in self.bases
+                                    if cls in self.lineage(c)}
+
+    def named(self, node):
+        """The class a ``Class`` or ``module.Class`` expression names."""
+        if isinstance(node, ast.Name) and node.id in self.bases:
+            return node.id
+        if (isinstance(node, ast.Attribute) and node.attr in self.bases
+                and isinstance(node.value, ast.Name)):
+            return node.attr
+        return None
+
+    def constructed(self, nodes):
+        """Names that only ever hold instances of package classes:
+        {name: classes} for the names every binding of which in the
+        statements is a constructor call."""
+        stores, built = {}, {}
+        for stmt in nodes:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Store):
+                    stores[node.id] = stores.get(node.id, 0) + 1
+                elif isinstance(node, ast.arg):
+                    stores[node.arg] = stores.get(node.arg, 0) + 1
+                elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                      and isinstance(node.targets[0], ast.Name)
+                      and isinstance(node.value, ast.Call)
+                      and self.named(node.value.func)):
+                    built.setdefault(node.targets[0].id, []).append(
+                        self.named(node.value.func))
+        return {name: set(classes) for name, classes in built.items()
+                if len(classes) == stores[name]}
+
+    def receiver(self, node, cls_name, bound):
+        """The classes whose methods an attribute of node can reach."""
+        if isinstance(node, ast.Name):
+            if node.id in ("self", "cls") and cls_name in self.bases:
+                return self.family(cls_name)
+            if node.id in bound:
+                return set().union(*map(self.lineage, bound[node.id]))
+        named = self.named(node)
+        return self.lineage(named) if named else set(self.bases)
+
+
+def _uses(nodes, classes, cls_name):
+    """(method uses, calls) of the statements.
+
+    Method uses are the (class, method) pairs the attributes can reach.
+    Calls are (callee name, call, classes): the callee is the called name
+    or attribute, and classes, for an attribute, the classes its receiver
+    resolves to (None for a bare name); ``cls(...)`` counts as a call of
+    the enclosing class ``cls_name``.
+    """
+    bound = classes.constructed(nodes)
+    uses, calls = set(), []
     for stmt in nodes:
         for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute):
+                uses |= {(c, node.attr) for c in classes.receiver(
+                    node.value, cls_name, bound)}
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -70,12 +150,11 @@ def _calls(nodes, cls_name):
                 name = func.id
                 if name == "cls" and cls_name is not None:
                     name = cls_name
+                calls.append((name, node, None))
             elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                continue
-            out.append((name, node))
-    return out
+                calls.append((func.attr, node, classes.receiver(
+                    func.value, cls_name, bound)))
+    return uses, calls
 
 
 class _Unit:
@@ -84,12 +163,11 @@ class _Unit:
     owner is None (always live), a top-level name, or (class, method).
     """
 
-    def __init__(self, owner, nodes, cls_name=None, discard=()):
+    def __init__(self, owner, nodes, classes, cls_name=None, discard=()):
         self.owner = owner
-        uses, attributes = _names(nodes)
-        self.uses = uses - set(discard)
-        self.attribute_uses = attributes - set(discard)
-        self.calls = _calls(nodes, cls_name)
+        self.uses = _names(nodes) - set(discard)
+        self.method_uses, self.calls = _uses(nodes, classes, cls_name)
+        self.method_uses.discard(owner)
 
 
 class _Callable:
@@ -108,6 +186,15 @@ class _Callable:
                                                       args.kw_defaults)
                         if d is not None]
 
+    def reached_by(self, callee, classes):
+        """Whether a call of callee on a receiver resolved to classes can
+        call this: a method only through an attribute of its class."""
+        if callee != self.callee:
+            return False
+        if isinstance(self.owner, tuple) and self.owner[1] == callee:
+            return classes is not None and self.owner[0] in classes
+        return True
+
     def passed(self, call, param, index):
         for kw in call.keywords:
             if kw.arg is None or kw.arg == param:
@@ -119,23 +206,29 @@ class _Callable:
         return index < len(call.args)
 
 
-def _scan():
+def _scan(sources):
     """(top-level definitions, methods, callables, units) of the sources."""
+    trees = [(module, ast.parse(text, module), in_package)
+             for module, text, in_package in sources]
+    classes = _Classes({
+        stmt.name: [b.id if isinstance(b, ast.Name) else getattr(b, "attr",
+                                                                 None)
+                    for b in stmt.bases]
+        for _, tree, in_package in trees if in_package
+        for stmt in tree.body if isinstance(stmt, ast.ClassDef)})
     definitions, methods, callables, units = {}, {}, [], []
-    for path in _sources():
-        module = os.path.basename(path)[:-3]
-        in_package = os.path.dirname(path) == PACKAGE
-        for stmt in ast.parse(open(path).read(), path).body:
+    for module, tree, in_package in trees:
+        for stmt in tree.body:
             if not in_package or not isinstance(stmt, (ast.FunctionDef,
                                                        ast.ClassDef)):
-                units.append(_Unit(None, [stmt]))
+                units.append(_Unit(None, [stmt], classes))
                 continue
             name = stmt.name
             public = not name.startswith("_")
             if public:
                 definitions[name] = module
             if isinstance(stmt, ast.FunctionDef):
-                units.append(_Unit(name, [stmt], discard=[name]))
+                units.append(_Unit(name, [stmt], classes, discard=[name]))
                 if public:
                     callables.append(_Callable(
                         "%s.%s" % (module, name), name, name, stmt.args, 0))
@@ -146,8 +239,8 @@ def _scan():
                     body.append(item)
                     continue
                 owner = (name, item.name)
-                units.append(_Unit(owner, [item], cls_name=name,
-                                   discard=[name, item.name]))
+                units.append(_Unit(owner, [item], classes, cls_name=name,
+                                   discard=[name]))
                 decorators = {d.id for d in item.decorator_list
                               if isinstance(d, ast.Name)}
                 skip = 0 if "staticmethod" in decorators else 1
@@ -159,7 +252,8 @@ def _scan():
                     callables.append(_Callable(
                         "%s.%s.%s" % (module, name, item.name), item.name,
                         owner, item.args, skip))
-            units.append(_Unit(name, body, cls_name=name, discard=[name]))
+            units.append(_Unit(name, body, classes, cls_name=name,
+                               discard=[name]))
     return definitions, methods, callables, units
 
 
@@ -176,21 +270,21 @@ def _dead(owner, orphans):
 
 
 def _orphans(definitions, methods, units, allowed):
-    """Public names no live unit uses, and public methods no live unit uses
-    as an attribute, to fixpoint: a name used only inside orphans is an
-    orphan too."""
+    """Public names no live unit uses, and public methods no live unit
+    reaches through an attribute, to fixpoint: a name used only inside
+    orphans is an orphan too."""
     orphans = set()
     while True:
-        used, attributes = set(), set()
+        used, reached = set(), set()
         for unit in units:
             if _dead(unit.owner, orphans):
                 continue
             used |= unit.uses
-            attributes |= unit.attribute_uses
+            reached |= unit.method_uses
         found = {n for n in definitions
                  if n not in used and n not in allowed}
         found |= {m for m in methods
-                  if m[1] not in attributes and "%s.%s" % m not in allowed}
+                  if m not in reached and "%s.%s" % m not in allowed}
         if found == orphans:
             return orphans
         orphans = found
@@ -205,7 +299,8 @@ def _unpassed(callables, units, orphans, allowed):
             continue
         calls = [call for unit in units
                  if unit.owner != c.owner and not _dead(unit.owner, orphans)
-                 for callee, call in unit.calls if callee == c.callee]
+                 for callee, call, classes in unit.calls
+                 if c.reached_by(callee, classes)]
         for param, index in c.params:
             if "%s(%s)" % (key, param) in allowed:
                 continue
@@ -214,10 +309,11 @@ def _unpassed(callables, units, orphans, allowed):
     return missing
 
 
-def _findings(allowed=ALLOWED):
+def _findings(allowed=ALLOWED, sources=None):
     """Labels of the orphaned names and methods, and of the unpassed
-    defaulted parameters."""
-    definitions, methods, callables, units = _scan()
+    defaulted parameters, of the sources (the package and the benchmark
+    when None)."""
+    definitions, methods, callables, units = _scan(sources or _sources())
     assert definitions, "no package sources found under %s" % PACKAGE
     orphans = _orphans(definitions, methods, units, allowed)
     labels = sorted("%s.%s" % (definitions[o], o) if isinstance(o, str)
@@ -245,3 +341,41 @@ def test_allow_list_is_current():
         orphans, unpassed = _findings(ALLOWED - {entry})
         flagged = {_allowed(label) for label in orphans + unpassed}
         assert entry in flagged, "stale allow-list entry %s" % entry
+
+
+# two classes define m; main reaches one of them
+TWO_CLASSES = """
+class A:
+    def m(self):
+        return 1
+
+    def run(self):
+        return {reach_a}
+
+
+class B:
+    def m(self):
+        return 2
+
+
+def main(x):
+{body}
+
+
+main(None)
+"""
+
+
+@pytest.mark.parametrize("reach_a,body,flagged", [
+    # through self: A.run reaches A.m only
+    ("self.m()", "    return A().run(), B()", ["demo.B.m"]),
+    # through a name bound by the constructor
+    ("0", "    a = A()\n    return a.run(), a.m(), B()", ["demo.B.m"]),
+    # a receiver that cannot be resolved reaches every m
+    ("0", "    return A().run(), B(), x.m()", []),
+])
+def test_receiver_decides_which_method_is_reached(reach_a, body, flagged):
+    source = TWO_CLASSES.format(reach_a=reach_a, body=body)
+    orphans, unpassed = _findings(set(), [("demo", source, True)])
+    assert orphans == flagged
+    assert unpassed == []

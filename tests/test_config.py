@@ -124,14 +124,14 @@ def test_saturated_gamma_config():
 
 def test_atomic_field_replacement():
     cfg = load_config(overrides={"fields": {"rho_f": {"base": 1.0}}})
-    assert cfg.fields.rho_f.is_constant()
+    assert not cfg.fields.rho_f.y_modes and not cfg.fields.rho_f.w_modes
     assert cfg.fields.rho_s.w_modes
 
 
 def test_fields_carry_omega_modes():
     cfg = load_config()
     assert cfg.fields.rho_f.w_modes
-    assert cfg.fields.eta.is_constant()
+    assert not cfg.fields.eta.y_modes and not cfg.fields.eta.w_modes
 
 
 def test_write_config_roundtrip(tmp_path):
@@ -152,4 +152,4 @@ def test_shipped_configs_load():
         assert cfg.pnp.dt > 0
     cfg = load_config(os.path.join(here, "trivial_r0.json"))
     assert cfg.geometry.inclusion_radius == 0.0
-    assert cfg.fields.rho_f.is_constant()
+    assert not cfg.fields.rho_f.y_modes and not cfg.fields.rho_f.w_modes

@@ -116,7 +116,7 @@ def test_s_bar_zero_neumann_potential(mesh24):
                         GammaFunction("linear", alpha=1.0))
     snaps, ledger = prob.run((cosine_plus, 1.0))
     for snap in snaps:
-        # deflated CG pins the algebraic mean of the Neumann solution
+        # the bordered LU pins the algebraic mean of the Neumann solution
         assert abs(np.mean(snap.potential)) <= 1e-8
     assert np.abs(snaps[0].potential).max() > 1e-3
     assert ledger.max_mass_drift() <= 1e-12

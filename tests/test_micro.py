@@ -147,6 +147,22 @@ def test_poisson_charge_identity(coarse_mesh, gamma):
     assert abs(charge - surface) <= 1e-9 * max(1.0, abs(charge))
 
 
+def test_pure_neumann_potential_is_the_minimum_norm_solution(square_mesh):
+    # no inclusion, so no surface term: the Poisson matrix has the constants
+    # as its kernel; with a non-neutral charge the system is inconsistent,
+    # and the potential is its least-squares solution of least norm
+    prob = MicroProblem(square_mesh, PnpParams(), wiggly_fields(),
+                        sample_omega(4).omega)
+    assert not prob.has_surface
+    state = prob.initial_condition((bump, 0.9))
+    b = prob.charge_rhs(state)
+    assert abs(b.sum()) > 0.1 * np.abs(b).sum()
+    oracle = np.linalg.lstsq(prob.A_theta.toarray(), b, rcond=None)[0]
+    err = np.linalg.norm(state.potential - oracle) / np.linalg.norm(oracle)
+    assert err <= 1e-10
+    assert abs(state.potential.mean()) <= 1e-13 * np.abs(oracle).max()
+
+
 def test_poisson_manufactured_convergence():
     # unperforated mesh, constant dielectric: potential cos(pi x)cos(pi y)
     # with matching right-hand side; L2 error contracts at second order
@@ -300,7 +316,8 @@ def test_species_lu_shared_when_diffusivities_agree(coarse_mesh, monkeypatch,
     assert calls["splu"] == expected
 
 
-def test_every_lu_orders_by_minimum_degree(coarse_mesh, monkeypatch):
+def test_every_lu_orders_by_minimum_degree(coarse_mesh, square_mesh,
+                                          monkeypatch):
     # every matrix factored is symmetric: each splu call asks for minimum
     # degree on A + A^T, in the fine, limit and cell-problem set-ups
     specs = []
@@ -318,14 +335,16 @@ def test_every_lu_orders_by_minimum_degree(coarse_mesh, monkeypatch):
     assert len(specs) == 2  # direct Poisson LU, one species LU
     MicroProblem(coarse_mesh, PnpParams(), wiggly_fields(saturated), omega)
     assert len(specs) == 4  # Newton preconditioner, one species LU
+    MicroProblem(square_mesh, PnpParams(), wiggly_fields(), omega)
+    assert len(specs) == 6  # bordered pure-Neumann Poisson LU, one species LU
     eye = np.eye(2)
     MacroProblem(macro_mesh(8), EffectiveCoefficients(0.8, eye, eye, eye, 1.0),
                  PnpParams(), GammaFunction("linear", alpha=1.0))
-    assert len(specs) == 6
+    assert len(specs) == 8
     spec = UnitCellSpec(n_interface_segments=32, target_edge_length=1.0 / 8)
     eff = compute_effective(build_template_cell(spec), wiggly_fields(), K=4)
     assert eff.provenance["dielectric_mode"] == "general"
-    assert len(specs) > 6
+    assert len(specs) > 8
     assert set(specs) == {"MMD_AT_PLUS_A"}
 
 

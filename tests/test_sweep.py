@@ -75,7 +75,7 @@ def test_reference_reproduces_linear_fields():
     ref = make_reference(mesh, linear, params)
     rng = np.random.default_rng(5)
     probe = rng.uniform(0.05, 0.95, size=(40, 2))
-    got = ref.evaluate("conc_plus", 0, probe)
+    got = ref.interpolation_matrix(probe) @ ref.snapshots[0].conc_plus
     assert np.abs(got - linear(probe)).max() <= 1e-13
 
 
@@ -84,7 +84,7 @@ def test_reference_rejects_outside_points():
     params = PnpParams(dt=0.05, t_final=0.05)
     ref = make_reference(mesh, lambda p: np.ones(p.shape[0]), params)
     with pytest.raises(RuntimeError):
-        ref.evaluate("conc_plus", 0, np.array([[1.5, 0.5]]))
+        ref.interpolation_matrix(np.array([[1.5, 0.5]]))
 
 
 def test_reference_is_the_solved_p1_function():
@@ -96,9 +96,10 @@ def test_reference_is_the_solved_p1_function():
     vals = rng.uniform(0.5, 1.5, size=mesh.vertices.shape[0])
     ref = make_reference(mesh, lambda p: vals, params)
     tris = mesh.triangles
-    got = ref.evaluate("conc_plus", 0, mesh.vertices[tris].mean(axis=1))
+    field = ref.snapshots[0].conc_plus
+    got = ref.interpolation_matrix(mesh.vertices[tris].mean(axis=1)) @ field
     assert np.abs(got - vals[tris].mean(axis=1)).max() <= 1e-14
-    got = ref.evaluate("conc_plus", 0, mesh.vertices)
+    got = ref.interpolation_matrix(mesh.vertices) @ field
     assert np.abs(got - vals).max() <= 1e-14
 
     # points on the sides x = 1 and y = 1 take the edge's linear values
@@ -113,7 +114,7 @@ def test_reference_is_the_solved_p1_function():
         pts[:, side] = 1.0
         pts[:, 1 - side] = s
         edge = (1.0 - t) * values[j] + t * values[j + 1]
-        got = ref.evaluate("conc_plus", 0, pts)
+        got = ref.interpolation_matrix(pts) @ field
         assert np.abs(got - edge).max() <= 1e-14
 
 
@@ -139,8 +140,10 @@ def test_reference_pickles():
     copied = pickle.loads(pickle.dumps(ref))
     probe = rng.uniform(0.0, 1.0, size=(50, 2))
     for name in ("conc_plus", "conc_minus", "potential"):
-        assert np.array_equal(copied.evaluate(name, 0, probe),
-                              ref.evaluate(name, 0, probe))
+        assert np.array_equal(
+            copied.interpolation_matrix(probe)
+            @ getattr(copied.snapshots[0], name),
+            ref.interpolation_matrix(probe) @ getattr(ref.snapshots[0], name))
     assert copied.times == ref.times
     assert copied.equilibrium_residual == ref.equilibrium_residual
 
