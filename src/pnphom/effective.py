@@ -99,7 +99,8 @@ class _PeriodicOperator:
         self.weights = weights
         self.P = _projector(rep)
         self.Ac = (self.P.T @ A_csr @ self.P).tocsr()
-        self._solve = _bordered_solver(self.Ac, self.P.T @ weights)
+        wc = self.P.T @ weights
+        self._solve = _bordered_solver(self.Ac, wc)
 
     def solve(self, b):
         """Solve A u = -b with weighted mean zero.

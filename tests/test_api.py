@@ -211,9 +211,7 @@ def _scan(sources):
     trees = [(module, ast.parse(text, module), in_package)
              for module, text, in_package in sources]
     classes = _Classes({
-        stmt.name: [b.id if isinstance(b, ast.Name) else getattr(b, "attr",
-                                                                 None)
-                    for b in stmt.bases]
+        stmt.name: [ast.unparse(b).rsplit(".", 1)[-1] for b in stmt.bases]
         for _, tree, in_package in trees if in_package
         for stmt in tree.body if isinstance(stmt, ast.ClassDef)})
     definitions, methods, callables, units = {}, {}, [], []
@@ -240,7 +238,7 @@ def _scan(sources):
                     continue
                 owner = (name, item.name)
                 units.append(_Unit(owner, [item], classes, cls_name=name,
-                                   discard=[name]))
+                                   discard=[name, item.name]))
                 decorators = {d.id for d in item.decorator_list
                               if isinstance(d, ast.Name)}
                 skip = 0 if "staticmethod" in decorators else 1
