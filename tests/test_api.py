@@ -371,7 +371,7 @@ main(None)
     ("0", "    a = A()\n    return a.run(), a.m(), B()", ["demo.B.m"]),
     # a receiver that cannot be resolved reaches every m
     ("0", "    return A().run(), B(), x.m()", []),
-])
+], ids=["self", "constructor", "unresolved"])
 def test_receiver_decides_which_method_is_reached(reach_a, body, flagged):
     source = TWO_CLASSES.format(reach_a=reach_a, body=body)
     orphans, unpassed = _findings(set(), [("demo", source, True)])
