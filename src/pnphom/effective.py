@@ -27,13 +27,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .fem import (
     _bordered_solver,
+    _sum_local,
     edge_quadrature_points,
     map_triangle_quadrature,
     quadrature,
     tri_geometry,
     tri_gradient,
 )
-from .geometry import FLUID
+from .geometry import FLUID, _periodic_rep
 
 log = logging.getLogger("pnphom.effective")
 
@@ -59,23 +60,6 @@ RESIDUAL_GATE = 1e-10
 
 # ---------------------------------------------------------------------------
 # periodic condensation on the template cell
-
-
-def _periodic_rep(nv, pair_arrays):
-    """Representative map for periodic identification.
-
-    pair_arrays is an iterable of (m, 2) arrays whose rows are
-    (master, slave) vertex ids.  Chains (a corner is slave of a slave)
-    are resolved to fixpoint.
-    """
-    rep = np.arange(nv)
-    for pairs in pair_arrays:
-        rep[pairs[:, 1]] = pairs[:, 0]
-    while True:
-        folded = rep[rep]
-        if np.array_equal(folded, rep):
-            return rep
-        rep = folded
 
 
 def _projector(rep):
@@ -178,7 +162,8 @@ def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
     areas, grads = tri_geometry(vertices, triangles)
     if csum is None:
         csum = areas
-    A = _assemble_p1_stiffness_from_csum(triangles, grads, csum, nv)
+    A = _sum_local(triangles, np.einsum("tid,tjd->tij", grads, grads)
+                   * csum[:, None, None], nv)
     weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
                        triangles, nv)
     operator = _PeriodicOperator(A, weights, _periodic_rep(nv, pair_arrays))
@@ -230,14 +215,6 @@ def _energy_tensor(areas_or_csum, left, right):
             T[j, k] = float(np.sum(areas_or_csum
                                    * np.sum(left[j] * right[k], axis=1)))
     return T
-
-
-def _assemble_p1_stiffness_from_csum(triangles, grads, csum, nv):
-    local = np.einsum("tid,tjd->tij", grads, grads) * csum[:, None, None]
-    rows = np.repeat(np.asarray(triangles), 3, axis=1).ravel()
-    cols = np.tile(np.asarray(triangles), (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(nv, nv)).tocsr()
 
 
 def solve_species_cell(template):

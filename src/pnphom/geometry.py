@@ -2,10 +2,14 @@
 
 The unit cell Y = [0,1]^2 carries a polygonal solid inclusion (an inscribed
 regular polygon of a disk) centered in the cell; the complement is the fluid
-phase.  The cell is triangulated once and then tiled n x n to produce the
-perforated domain at scale eps = 1/n, with exact vertex stitching across cell
-faces (shared coordinates are computed by a single owner formula, never by
-coordinate hashing).
+phase.  The cell is triangulated once.  Its side tables pair the vertices of
+opposite sides, and one fold (:func:`_periodic_rep`) turns such pairs into a
+vertex identification.  Applied to the cell itself, the identification makes
+Y a torus for the cell problems.  Applied to n x n copies of the cell, with
+each face glued to the opposite face of its neighbor, it gives the perforated
+domain at scale eps = 1/n.  Shared coordinates come from the representative's
+cell by a single owner formula, never from coordinate hashing, so the
+stitching is exact.
 
 The fluid annulus between the polygon and the square boundary is meshed with
 four transfinite patches (one per square side); the solid disk with
@@ -200,8 +204,9 @@ class TemplateCell(_PhaseMesh):
 class PerforatedMesh(_PhaseMesh):
     """The template cell tiled n x n over the unit square, eps = 1/n.
 
-    Vertex coordinates of shared cell-face vertices are produced by a single
-    owner formula, so the tiling is exact: no tolerance-based stitching.
+    Vertices shared by cell faces are identified through the template's
+    periodic pairs and get their coordinates from one owner cell, so the
+    tiling is exact: no tolerance-based stitching.
     """
 
     def __init__(self, template, n, vertices, triangles, tri_phase,
@@ -280,12 +285,6 @@ def _build_square_cell(spec):
     tris = np.array(tris, dtype=np.int64)
     phase = np.zeros(tris.shape[0], dtype=np.int64)
 
-    side_vertices = {
-        "left": np.array([vid(0, j) for j in range(n + 1)], dtype=np.int64),
-        "right": np.array([vid(n, j) for j in range(n + 1)], dtype=np.int64),
-        "bottom": np.array([vid(i, 0) for i in range(n + 1)], dtype=np.int64),
-        "top": np.array([vid(i, n) for i in range(n + 1)], dtype=np.int64),
-    }
     bedges = []
     for j in range(n):
         bedges.append((vid(0, j), vid(0, j + 1)))
@@ -297,7 +296,19 @@ def _build_square_cell(spec):
     bclass = np.zeros(bedges.shape[0], dtype=np.int64)
 
     iface = np.zeros((0, 2), dtype=np.int64)
-    return TemplateCell(spec, verts, tris, phase, iface, bedges, bclass, side_vertices)
+    return TemplateCell(spec, verts, tris, phase, iface, bedges, bclass,
+                        _side_vertices(verts, bedges))
+
+
+def _side_vertices(vertices, boundary_edges):
+    """Boundary vertices on each side of the square, sorted along it."""
+    ids = np.unique(boundary_edges)
+    x, y = vertices[ids].T
+    sides = {}
+    for name, on, along in (("left", x == 0.0, y), ("right", x == 1.0, y),
+                            ("bottom", y == 0.0, x), ("top", y == 1.0, x)):
+        sides[name] = ids[on][np.argsort(along[on], kind="stable")]
+    return sides
 
 
 def _polygon_loop(spec, m, sub):
@@ -325,8 +336,6 @@ def _boundary_loop(n_side, m):
     coordinates are of the exact form j/n_side.
     """
     pts = np.empty((m, 2))
-    sides = np.empty(m, dtype=np.int64)   # 0 right, 1 top, 2 left, 3 bottom
-    slots = np.empty(m, dtype=np.int64)   # coordinate index j along the side
     half = n_side // 2
     for a in range(m):
         # patch p covers loop indices [p*n_side - half, (p+1)*n_side - half)
@@ -344,9 +353,7 @@ def _boundary_loop(n_side, m):
         else:           # bottom side, from (0,0) to (1,0)
             j = k
             pts[a] = (j / float(n_side), 0.0)
-        sides[a] = p
-        slots[a] = j
-    return pts, sides, slots
+    return pts
 
 
 def _solid_rings(r, m, h):
@@ -432,7 +439,7 @@ def _build_perforated_cell(spec):
     cx, cy = spec.inclusion_center
 
     poly = _polygon_loop(spec, m, sub)
-    bnd, bnd_sides, bnd_slots = _boundary_loop(n_side, m)
+    bnd = _boundary_loop(n_side, m)
 
     verts = [np.array([[cx, cy]])]
     next_id = 1
@@ -504,33 +511,8 @@ def _build_perforated_cell(spec):
     bedges = np.column_stack([bnd_ids, np.roll(bnd_ids, -1)])
     bclass = np.full(bedges.shape[0], FLUID, dtype=np.int64)
 
-    # side tables ordered by coordinate; bnd vertex with side s, slot j
-    side_vertices = {}
-    for name, code in (("right", 0), ("top", 1), ("left", 2), ("bottom", 3)):
-        ids = np.full(n_side + 1, -1, dtype=np.int64)
-        for a in range(m):
-            if bnd_sides[a] == code:
-                ids[bnd_slots[a]] = bnd_ids[a]
-        # the side's end slots are the square corners, each constructed once
-        # under the side that owns it in the loop; fill from the coordinates
-        for j in (0, n_side):
-            if ids[j] < 0:
-                target = {
-                    "right": (1.0, j / float(n_side)),
-                    "left": (0.0, j / float(n_side)),
-                    "top": (j / float(n_side), 1.0),
-                    "bottom": (j / float(n_side), 0.0),
-                }[name]
-                match = np.nonzero((vertices[bnd_ids][:, 0] == target[0])
-                                   & (vertices[bnd_ids][:, 1] == target[1]))[0]
-                if match.shape[0] != 1:
-                    raise MeshConstructionError("corner vertex lookup failed on side %s" % name)
-                ids[j] = bnd_ids[match[0]]
-        side_vertices[name] = ids
-
-    cell = TemplateCell(spec, vertices, triangles, tri_phase, iface,
-                        bedges, bclass, side_vertices)
-    return cell
+    return TemplateCell(spec, vertices, triangles, tri_phase, iface,
+                        bedges, bclass, _side_vertices(vertices, bedges))
 
 
 def _tri_min_angles(vertices, triangles):
@@ -595,12 +577,38 @@ def _validate_template(cell):
                                         % (name_a, name_b))
 
 
+def _periodic_rep(nv, pair_arrays):
+    """Representative map for periodic identification.
+
+    pair_arrays is an iterable of (m, 2) arrays whose rows are
+    (master, slave) vertex ids.  Chains (a corner is slave of a slave)
+    are resolved to fixpoint.
+    """
+    rep = np.arange(nv)
+    for pairs in pair_arrays:
+        rep[pairs[:, 1]] = pairs[:, 0]
+    while True:
+        folded = rep[rep]
+        if np.array_equal(folded, rep):
+            return rep
+        rep = folded
+
+
 def tile_domain(cell, n):
     """Tile the template cell n x n into the perforated unit square.
 
-    Global vertex coordinates are produced as (cell_index + local)/n from the
-    owner cell, so vertices shared between neighboring cells coincide
-    bitwise.
+    The perforated domain is the union of the translates of the cell,
+    glued along their faces by the identification of opposite sides that
+    makes the cell a torus for the cell problems.  Copy v of cell
+    c = b*n + a (column a, row b) starts as vertex c*nv + v.  The template's
+    x pairs glue each cell's right side to the left side of cell c+1, its y
+    pairs glue the top side to the bottom side of cell c+n; faces on the
+    border of the square stay free.  :func:`_periodic_rep` folds the chains,
+    so the four copies of a lattice corner become one vertex, and the
+    representatives in ascending order are the global vertices.  Their
+    coordinates (a + x, b + y)/n come from the representative's cell, so
+    vertices shared between neighboring cells coincide bitwise.
+    Triangles and edges keep the template order, cell by cell.
 
     Parameters
     ----------
@@ -612,153 +620,33 @@ def tile_domain(cell, n):
     if n < 1:
         raise DomainError("n must be >= 1")
     nv = cell.n_vertices
-    left = cell.side_vertices["left"]
-    right = cell.side_vertices["right"]
-    bottom = cell.side_vertices["bottom"]
-    top = cell.side_vertices["top"]
-    n_side = left.shape[0] - 1
+    cells = np.arange(n * n)
+    col, row = cells % n, cells // n
+    pairs = cell.periodic_pairs()
+    glue = []
+    for (master, slave), step, inner in ((pairs["x"].T, 1, col < n - 1),
+                                         (pairs["y"].T, n, row < n - 1)):
+        c = cells[inner][:, None]
+        glue.append(np.column_stack([((c + step) * nv + master).ravel(),
+                                     (c * nv + slave).ravel()]))
+    reps, index = np.unique(_periodic_rep(n * n * nv, glue), return_inverse=True)
+    index = index.reshape(n * n, nv)
+    owner, local = np.divmod(reps, nv)
+    vertices = (np.column_stack([owner % n, owner // n])
+                + cell.vertices[local]) * (1.0 / n)
 
-    # template vertex classification
-    kind = np.zeros(nv, dtype=np.int64)       # 0 interior, 1 vface, 2 hface, 3 corner
-    slot = np.full(nv, -1, dtype=np.int64)
-    corner_pos = np.full((nv, 2), -1, dtype=np.int64)
-    corners = {}
-    for ids, side in ((left, "left"), (right, "right"), (bottom, "bottom"), (top, "top")):
-        for j, v in enumerate(ids):
-            if j in (0, n_side):
-                corners.setdefault(int(v), set()).add(side)
-    corner_of = {}
-    for v, sides in corners.items():
-        ci = 1 if "right" in sides else 0
-        cj = 1 if "top" in sides else 0
-        corner_of[v] = (ci, cj)
-        kind[v] = 3
-        corner_pos[v] = (ci, cj)
-    for ids, k in ((left, 1), (right, 1), (bottom, 2), (top, 2)):
-        for j, v in enumerate(ids):
-            if kind[v] == 3:
-                continue
-            kind[v] = k
-            slot[v] = j
-    interior_ids = np.nonzero(kind == 0)[0]
-    interior_slot = np.full(nv, -1, dtype=np.int64)
-    interior_slot[interior_ids] = np.arange(interior_ids.shape[0])
-    n_int = interior_ids.shape[0]
-    n_fslot = n_side - 1  # interior slots per face
-
-    # global id layout
-    n_lattice = (n + 1) * (n + 1)
-    n_vface = (n + 1) * n * n_fslot
-    n_hface = n * (n + 1) * n_fslot
-
-    def lattice_id(a, b):
-        return a * (n + 1) + b
-
-    def vface_id(a, b, j):
-        return n_lattice + (a * n + b) * n_fslot + (j - 1)
-
-    def hface_id(a, b, j):
-        return n_lattice + n_vface + (b * n + a) * n_fslot + (j - 1)
-
-    def interior_base(a, b):
-        return n_lattice + n_vface + n_hface + (b * n + a) * n_int
-
-    n_global = n_lattice + n_vface + n_hface + n * n * n_int
-    gverts = np.empty((n_global, 2))
-    inv_n = 1.0 / float(n)
-    for a in range(n + 1):
-        for b in range(n + 1):
-            gverts[lattice_id(a, b)] = (a * inv_n, b * inv_n)
-    # face and interior coordinates: owner formula (cell + local)/n
-    lv = cell.vertices[left]
-    bv = cell.vertices[bottom]
-    for a in range(n + 1):
-        for b in range(n):
-            base = vface_id(a, b, 1)
-            ys = (b + lv[1:n_side, 1]) * inv_n
-            gverts[base:base + n_fslot, 0] = a * inv_n
-            gverts[base:base + n_fslot, 1] = ys
-    for b in range(n + 1):
-        for a in range(n):
-            base = hface_id(a, b, 1)
-            xs = (a + bv[1:n_side, 0]) * inv_n
-            gverts[base:base + n_fslot, 0] = xs
-            gverts[base:base + n_fslot, 1] = b * inv_n
-    int_coords = cell.vertices[interior_ids]
-    for b in range(n):
-        for a in range(n):
-            base = interior_base(a, b)
-            gverts[base:base + n_int, 0] = (a + int_coords[:, 0]) * inv_n
-            gverts[base:base + n_int, 1] = (b + int_coords[:, 1]) * inv_n
-
-    # per-cell template->global vertex maps
-    cell_maps = np.empty((n * n, nv), dtype=np.int64)
-    for b in range(n):
-        for a in range(n):
-            cmap = np.empty(nv, dtype=np.int64)
-            cmap[interior_ids] = interior_base(a, b) + np.arange(n_int)
-            for v in range(nv):
-                k = kind[v]
-                if k == 0:
-                    continue
-                if k == 3:
-                    ci, cj = corner_pos[v]
-                    cmap[v] = lattice_id(a + ci, b + cj)
-                elif k == 1:
-                    face_a = a if cell.vertices[v, 0] == 0.0 else a + 1
-                    cmap[v] = vface_id(face_a, b, slot[v])
-                else:
-                    face_b = b if cell.vertices[v, 1] == 0.0 else b + 1
-                    cmap[v] = hface_id(a, face_b, slot[v])
-            cell_maps[b * n + a] = cmap
-
-    nt = cell.n_triangles
-    gtris = np.empty((n * n * nt, 3), dtype=np.int64)
-    gphase = np.empty(n * n * nt, dtype=np.int64)
-    for c in range(n * n):
-        cmap = cell_maps[c]
-        gtris[c * nt:(c + 1) * nt] = cmap[cell.triangles]
-        gphase[c * nt:(c + 1) * nt] = cell.tri_phase
-
-    ne = cell.interface_edges.shape[0]
-    giface = np.empty((n * n * ne, 2), dtype=np.int64)
-    for c in range(n * n):
-        cmap = cell_maps[c]
-        giface[c * ne:(c + 1) * ne] = cmap[cell.interface_edges]
-
-    bedges = []
-    bclass = []
-    tmpl_b = cell.boundary_edges
-    tmpl_bc = cell.boundary_edge_class
-    v0x = cell.vertices[tmpl_b[:, 0], 0]
-    v1x = cell.vertices[tmpl_b[:, 1], 0]
-    v0y = cell.vertices[tmpl_b[:, 0], 1]
-    v1y = cell.vertices[tmpl_b[:, 1], 1]
-    on_left = (v0x == 0.0) & (v1x == 0.0)
-    on_right = (v0x == 1.0) & (v1x == 1.0)
-    on_bottom = (v0y == 0.0) & (v1y == 0.0)
-    on_top = (v0y == 1.0) & (v1y == 1.0)
-    for b in range(n):
-        for a in range(n):
-            sel = np.zeros(tmpl_b.shape[0], dtype=bool)
-            if a == 0:
-                sel |= on_left
-            if a == n - 1:
-                sel |= on_right
-            if b == 0:
-                sel |= on_bottom
-            if b == n - 1:
-                sel |= on_top
-            if not np.any(sel):
-                continue
-            cmap = cell_maps[b * n + a]
-            bedges.append(cmap[tmpl_b[sel]])
-            bclass.append(tmpl_bc[sel])
-    gbedges = np.vstack(bedges) if bedges else np.zeros((0, 2), dtype=np.int64)
-    gbclass = np.concatenate(bclass) if bclass else np.zeros(0, dtype=np.int64)
-
-    mesh = PerforatedMesh(cell, n, gverts, gtris, gphase, giface,
-                          gbedges, gbclass)
+    ex, ey = cell.vertices[cell.boundary_edges].transpose(2, 0, 1)
+    border = ((col[:, None] == 0) & (ex == 0.0).all(axis=1)
+              | (col[:, None] == n - 1) & (ex == 1.0).all(axis=1)
+              | (row[:, None] == 0) & (ey == 0.0).all(axis=1)
+              | (row[:, None] == n - 1) & (ey == 1.0).all(axis=1))
+    mesh = PerforatedMesh(
+        cell, n, vertices,
+        index[:, cell.triangles].reshape(-1, 3),
+        np.tile(cell.tri_phase, n * n),
+        index[:, cell.interface_edges].reshape(-1, 2),
+        index[:, cell.boundary_edges][border],
+        np.broadcast_to(cell.boundary_edge_class, border.shape)[border])
     _validate_tiling(mesh)
     logger.info("tiled mesh n=%d: %d vertices, %d triangles", n,
                 mesh.n_vertices, mesh.n_triangles)

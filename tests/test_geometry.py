@@ -167,6 +167,21 @@ def test_tiling_area_and_interface(coarse_cell, n):
     assert L == pytest.approx(n * coarse_cell.interface_length, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("cell_name", ["coarse_cell", "default_cell"])
+def test_tiling_is_stitched(request, cell_name, n):
+    # one vertex per point, and only the square's border is left open
+    mesh = tile_domain(request.getfixturevalue(cell_name), n)
+    assert np.unique(mesh.vertices, axis=0).shape[0] == mesh.n_vertices
+    t = mesh.triangles
+    edges = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    edges, uses = np.unique(edges, axis=0, return_counts=True)
+    assert set(uses.tolist()) <= {1, 2}
+    border = np.sort(mesh.boundary_edges, axis=1)
+    assert np.unique(border, axis=0).shape[0] == border.shape[0]
+    assert np.array_equal(edges[uses == 1], np.unique(border, axis=0))
+
+
 def test_tiling_boundary_classes(coarse_cell):
     mesh = tile_domain(coarse_cell, 2)
     assert set(np.unique(mesh.boundary_edge_class)) <= {0, 1}
