@@ -307,7 +307,7 @@ def _side_vertices(vertices, boundary_edges):
     sides = {}
     for name, on, along in (("left", x == 0.0, y), ("right", x == 1.0, y),
                             ("bottom", y == 0.0, x), ("top", y == 1.0, x)):
-        sides[name] = ids[on][np.argsort(along[on], kind="stable")]
+        sides[name] = ids[on][np.argsort(along[on])]
     return sides
 
 
