@@ -14,7 +14,7 @@ The schema, with defaults in parentheses:
   n_omega_samples: ensemble size M for sweeps (8)
   seed: base seed (0)
   K: sample-stage grid resolution (32)
-  macro_resolution: unperforated macro mesh resolution (96)
+  macro_resolution: unperforated macro mesh resolution, even (96)
   twoscale: M (64, at least 1), eps_list ([2,4,8,16]) for the oscillation
       tables
 """
@@ -155,8 +155,11 @@ class ExperimentConfig:
         self.seed = int(data["seed"])
         self.K = int(data["K"])
         self.macro_resolution = int(data["macro_resolution"])
-        if self.macro_resolution < 4:
-            raise ConfigError("macro_resolution must be >= 4")
+        if self.macro_resolution < 4 or self.macro_resolution % 2:
+            raise ConfigError(
+                "macro_resolution must be even and >= 4, got %d: the limit "
+                "mesh's union-jack grid needs an even side"
+                % self.macro_resolution)
         ts = data["twoscale"]
         self.twoscale_M = int(ts["M"])
         if self.twoscale_M < 1:

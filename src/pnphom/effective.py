@@ -20,6 +20,7 @@ species tensor for any dielectric coefficient, discretely as well.
 import json
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,9 +28,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .fem import (
     _bordered_solver,
-    _sum_local,
-    edge_quadrature_points,
-    map_triangle_quadrature,
+    assemble_interface_load,
+    assemble_stiffness,
+    phase_integrals,
     quadrature,
     tri_geometry,
     tri_gradient,
@@ -159,11 +160,10 @@ def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
     the fluxes e_k + grad u_k.
     """
     nv = vertices.shape[0]
+    A = assemble_stiffness(vertices, triangles, csum)
     areas, grads = tri_geometry(vertices, triangles)
     if csum is None:
         csum = areas
-    A = _sum_local(triangles, np.einsum("tid,tjd->tij", grads, grads)
-                   * csum[:, None, None], nv)
     weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
                        triangles, nv)
     operator = _PeriodicOperator(A, weights, _periodic_rep(nv, pair_arrays))
@@ -239,24 +239,6 @@ def solve_species_cell(template):
 # dielectric stage 1: full-cell problems per frozen sample
 
 
-def _phase_tri_integrals(template, rho_f, rho_s, omega):
-    """Per-triangle integral of the phase-split coefficient at frozen omega."""
-    rule = quadrature("triangle-3pt")
-    verts = template.vertices
-    tris = template.triangles
-    nq = len(rule)
-    pts, wts = map_triangle_quadrature(verts, tris, rule)
-    csum = np.empty(tris.shape[0])
-    omega = np.asarray(omega, dtype=float)
-    for phase, field in ((FLUID, rho_f), (1 - FLUID, rho_s)):
-        mask = template.tri_phase == phase
-        if not mask.any():
-            continue
-        vals = field.evaluate(omega, pts[mask].reshape(-1, 2))
-        csum[mask] = np.sum(wts[mask] * vals.reshape(mask.sum(), nq), axis=1)
-    return csum
-
-
 def solve_dielectric_single(template, rho_f, rho_s, omega):
     """Fast-stage dielectric cell problem for one frozen sample.
 
@@ -265,7 +247,11 @@ def solve_dielectric_single(template, rho_f, rho_s, omega):
     evaluated at the given omega, and returns the corrector solution and
     the frozen-sample tensor.
     """
-    csum = _phase_tri_integrals(template, rho_f, rho_s, omega)
+    # rho_f on phase 0 (fluid), rho_s on phase 1 (solid), as in the fine
+    # problem but at the frozen sample
+    csum = phase_integrals(
+        template.vertices, template.triangles, template.tri_phase,
+        [partial(rho.evaluate, omega) for rho in (rho_f, rho_s)])
     return _solve_cell("dielectric", template.vertices, template.triangles,
                        None, list(template.periodic_pairs().values()), csum)
 
@@ -501,13 +487,9 @@ def surface_factor(template, eta_field):
     identically, so the factor reduces to the interface quadrature of the
     sample-averaged field; this is exact, no grid is involved.
     """
-    if template.interface_edges.shape[0] == 0:
-        return 0.0
-    pts, wts = edge_quadrature_points(template.vertices,
-                                      template.interface_edges,
-                                      quadrature("edge-gauss-4"))
-    vals = eta_field.omega_average(pts.reshape(-1, 2))
-    return float(np.sum(wts * vals.reshape(wts.shape)))
+    return float(assemble_interface_load(
+        template.vertices, template.interface_edges, eta_field.omega_average,
+        quadrature("edge-gauss-4")).sum())
 
 
 class EffectiveCoefficients:

@@ -1,11 +1,12 @@
 """Sparse P1 finite-element kernels shared by every solver in the package.
 
-Quadrature rules; vectorized assembly of stiffness and mass matrices (as
-canonical scipy CSR matrices), of drift matrices on a fixed mesh pattern
-and of interface-trace loads; the sparse LU and the bordered LU of a
-problem whose kernel is the constants; CG through ``scipy.sparse.linalg``
-with an iteration count; and a damped Newton iteration for the nonlinear
-interface term.
+Quadrature rules; the per-triangle integrals of a phase-split density;
+vectorized assembly of stiffness matrices from such integrals or from a
+constant tensor and of mass matrices (as canonical scipy CSR matrices), of
+drift matrices on a fixed mesh pattern and of interface-trace loads; the
+sparse LU and the bordered LU of a problem whose kernel is the constants;
+CG through ``scipy.sparse.linalg`` with an iteration count; and a damped
+Newton iteration for the nonlinear interface term.
 """
 
 import math
@@ -176,6 +177,31 @@ def _sum_local(triangles, local, nv):
     return csr
 
 
+def phase_integrals(vertices, triangles, tri_phase, densities):
+    """Per-triangle integrals of a phase-split density, shape (nt,).
+
+    Triangle t integrates densities[tri_phase[t]], a callable(points (m,2))
+    -> (m,) values, by the triangle-3pt rule.  These integrals are the
+    coefficient of :func:`assemble_stiffness`.
+    """
+    triangles = np.asarray(triangles)
+    tri_phase = np.asarray(tri_phase)
+    if not np.isin(tri_phase, np.arange(len(densities))).all():
+        raise AssemblyError("a triangle phase has no density")
+    rule = quadrature("triangle-3pt")
+    nq = len(rule)
+    pts, wts = map_triangle_quadrature(vertices, triangles, rule)
+    csum = np.empty(triangles.shape[0])
+    for phase, density in enumerate(densities):
+        mask = tri_phase == phase
+        if not mask.any():
+            continue
+        vals = np.asarray(density(pts[mask].reshape(-1, 2)), dtype=float)
+        csum[mask] = np.einsum("tq,tq->t", wts[mask],
+                               vals.reshape(mask.sum(), nq))
+    return csum
+
+
 def assemble_stiffness(vertices, triangles, coefficient=None):
     """Assemble the P1 stiffness matrix of -div(a grad u) on a triangle set.
 
@@ -183,9 +209,10 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
     ----------
     vertices : (nv, 2) array
     triangles : (nt, 3) int array
-    coefficient : None, (2,2) array, or callable(points)->values
-        A constant tensor, or scalar (nq,) values at the triangle-3pt
-        quadrature points.
+    coefficient : None, (nt,) array, or (2, 2) array
+        None is a = 1.  An (nt,) array holds the integral of a scalar a
+        over each triangle, as :func:`phase_integrals` returns it.  A
+        (2, 2) array is a constant symmetric tensor.
 
     Returns
     -------
@@ -196,34 +223,29 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
     triangles = np.asarray(triangles)
     if triangles.shape[0] == 0:
         raise AssemblyError("empty region")
-    rule = quadrature("triangle-3pt")
     areas, grads = tri_geometry(vertices, triangles)
     nt = triangles.shape[0]
-    nq = len(rule)
+    coef = areas if coefficient is None else np.asarray(coefficient,
+                                                        dtype=float)
 
-    if coefficient is None:
-        # grad_i . grad_j * area
-        local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-    elif callable(coefficient):
-        pts, wts = map_triangle_quadrature(vertices, triangles, rule)
-        vals = np.asarray(coefficient(pts.reshape(-1, 2)), dtype=float)
-        if vals.shape != (nt * nq,):
-            raise AssemblyError("coefficient returned shape %r for %d points"
-                                % (vals.shape, nt * nq))
-        csum = np.einsum("tq,tq->t", wts, vals.reshape(nt, nq))
-        local = np.einsum("tid,tjd->tij", grads, grads) * csum[:, None, None]
+    if coef.ndim == 1:
+        if coef.shape != (nt,):
+            raise AssemblyError("coefficient has %d triangle integrals for "
+                                "%d triangles" % (coef.shape[0], nt))
+        # (int_T a) grad_i . grad_j
+        local = np.einsum("tid,tjd->tij", grads, grads) * coef[:, None, None]
     else:
-        tensor = np.asarray(coefficient)
-        if tensor.shape != (2, 2):
+        if coef.shape != (2, 2):
             raise AssemblyError("constant coefficient must be 2x2")
-        skew = np.abs(tensor - tensor.T).max()
+        skew = np.abs(coef - coef.T).max()
         if skew > 1e-12:
             raise AssemblyError(
                 "tensor coefficient is not symmetric: |a - a^T| = %.3e"
                 % skew)
+        rule = quadrature("triangle-3pt")
         _, wts = map_triangle_quadrature(vertices, triangles, rule)
         weighted = np.einsum("tq,tqde->tde", wts,
-                             np.broadcast_to(tensor, (nt, nq, 2, 2)))
+                             np.broadcast_to(coef, (nt, len(rule), 2, 2)))
         local = np.einsum("tid,tde,tje->tij", grads, weighted, grads)
 
     return _sum_local(triangles, local, vertices.shape[0])
@@ -342,21 +364,16 @@ def assemble_interface_load(vertices, edges, density, rule):
     b = np.zeros(vertices.shape[0])
     if edges.shape[0] == 0:
         return b
-    p0 = vertices[edges[:, 0]]
-    p1 = vertices[edges[:, 1]]
-    lengths = np.linalg.norm(p1 - p0, axis=1)
+    pts, wts = edge_quadrature_points(vertices, edges, rule)
+    lengths = wts.sum(axis=1)
     if lengths.min() < 1e-15:
         bad = int(np.argmin(lengths))
         raise AssemblyError("zero-length edge %d" % bad)
     t = rule.points[:, 0]
-    wts = rule.weights
-    pts = p0[:, None, :] * (1.0 - t)[None, :, None] + p1[:, None, :] * t[None, :, None]
-    dvals = np.asarray(density(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
-    w = dvals * wts[None, :] * lengths[:, None]
-    contrib0 = (w * (1.0 - t)[None, :]).sum(axis=1)
-    contrib1 = (w * t[None, :]).sum(axis=1)
-    np.add.at(b, edges[:, 0], contrib0)
-    np.add.at(b, edges[:, 1], contrib1)
+    w = np.asarray(density(pts.reshape(-1, 2)), dtype=float).reshape(
+        wts.shape) * wts
+    np.add.at(b, edges[:, 0], (w * (1.0 - t)).sum(axis=1))
+    np.add.at(b, edges[:, 1], (w * t).sum(axis=1))
     return b
 
 

@@ -167,8 +167,8 @@ class TemplateCell(_PhaseMesh):
     triangles : (nt, 3) int array
     tri_phase : (nt,) int array of FLUID/SOLID markers
     interface_edges : (ne, 2) int array, edges on the polygon boundary
-    boundary_edges : (nb, 2) int array, edges on the cell boundary
-    boundary_edge_class : (nb,) int array (FLUID/SOLID of adjacent triangle)
+    boundary_edges : (nb, 2) int array, edges on the cell boundary; they
+        all adjoin fluid, since the inclusion lies strictly inside the cell
     side_vertices : dict side -> int array of vertex ids ordered by the
         side coordinate; sides are 'left', 'right', 'bottom', 'top'.  The
         arrays define the periodic pairing left<->right and bottom<->top
@@ -176,14 +176,13 @@ class TemplateCell(_PhaseMesh):
     """
 
     def __init__(self, spec, vertices, triangles, tri_phase, interface_edges,
-                 boundary_edges, boundary_edge_class, side_vertices):
+                 boundary_edges, side_vertices):
         self.spec = spec
         self.vertices = vertices
         self.triangles = triangles
         self.tri_phase = tri_phase
         self.interface_edges = interface_edges
         self.boundary_edges = boundary_edges
-        self.boundary_edge_class = boundary_edge_class
         self.side_vertices = side_vertices
 
     @property
@@ -210,7 +209,7 @@ class PerforatedMesh(_PhaseMesh):
     """
 
     def __init__(self, template, n, vertices, triangles, tri_phase,
-                 interface_edges, boundary_edges, boundary_edge_class):
+                 interface_edges, boundary_edges):
         self.template = template
         self.n = int(n)
         self.epsilon = 1.0 / float(n)
@@ -219,7 +218,6 @@ class PerforatedMesh(_PhaseMesh):
         self.tri_phase = tri_phase
         self.interface_edges = interface_edges
         self.boundary_edges = boundary_edges
-        self.boundary_edge_class = boundary_edge_class
 
 
 def build_template_cell(spec):
@@ -293,10 +291,9 @@ def _build_square_cell(spec):
         bedges.append((vid(i, 0), vid(i + 1, 0)))
         bedges.append((vid(i, n), vid(i + 1, n)))
     bedges = np.array(bedges, dtype=np.int64)
-    bclass = np.zeros(bedges.shape[0], dtype=np.int64)
 
     iface = np.zeros((0, 2), dtype=np.int64)
-    return TemplateCell(spec, verts, tris, phase, iface, bedges, bclass,
+    return TemplateCell(spec, verts, tris, phase, iface, bedges,
                         _side_vertices(verts, bedges))
 
 
@@ -509,10 +506,9 @@ def _build_perforated_cell(spec):
     iface = np.column_stack([poly_ids, np.roll(poly_ids, -1)])
 
     bedges = np.column_stack([bnd_ids, np.roll(bnd_ids, -1)])
-    bclass = np.full(bedges.shape[0], FLUID, dtype=np.int64)
 
     return TemplateCell(spec, vertices, triangles, tri_phase, iface,
-                        bedges, bclass, _side_vertices(vertices, bedges))
+                        bedges, _side_vertices(vertices, bedges))
 
 
 def _tri_min_angles(vertices, triangles):
@@ -546,20 +542,22 @@ def _validate_template(cell):
             "triangle %d in %s region has min angle %.2f deg < %.1f"
             % (worst, PHASE_NAMES[int(cell.tri_phase[worst])],
                min_angle[worst], MIN_ANGLE_DEG))
-    # every interface edge must separate one fluid and one solid triangle
-    if cell.interface_edges.shape[0] > 0:
-        edge_map = {}
-        for t_idx in range(cell.n_triangles):
-            tri = cell.triangles[t_idx]
-            for k in range(3):
-                key = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
-                edge_map.setdefault(key, []).append(int(cell.tri_phase[t_idx]))
-        for e in cell.interface_edges:
-            key = (min(e[0], e[1]), max(e[0], e[1]))
-            phases = sorted(edge_map.get(key, []))
-            if phases != [FLUID, SOLID]:
-                raise MeshConstructionError(
-                    "interface edge %s not shared by one fluid and one solid triangle" % (key,))
+    # every interface edge must separate one fluid and one solid triangle;
+    # an edge is keyed by its sorted vertex pair
+    t = cell.triangles
+    tri_keys = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2),
+                       axis=2) @ [cell.n_vertices, 1]
+    keys = np.sort(cell.interface_edges, axis=1) @ [cell.n_vertices, 1]
+
+    def uses(phase):
+        k = np.sort(tri_keys[cell.tri_phase == phase], axis=None)
+        return np.searchsorted(k, keys, "right") - np.searchsorted(k, keys)
+
+    bad = (uses(FLUID) != 1) | (uses(SOLID) != 1)
+    if bad.any():
+        raise MeshConstructionError(
+            "interface edge %s not shared by one fluid and one solid triangle"
+            % (tuple(np.sort(cell.interface_edges[np.argmax(bad)]).tolist()),))
     for name_a, name_b in (("left", "right"), ("bottom", "top")):
         ids_a = cell.side_vertices[name_a]
         ids_b = cell.side_vertices[name_b]
@@ -645,8 +643,7 @@ def tile_domain(cell, n):
         index[:, cell.triangles].reshape(-1, 3),
         np.tile(cell.tri_phase, n * n),
         index[:, cell.interface_edges].reshape(-1, 2),
-        index[:, cell.boundary_edges][border],
-        np.broadcast_to(cell.boundary_edge_class, border.shape)[border])
+        index[:, cell.boundary_edges][border])
     _validate_tiling(mesh)
     logger.info("tiled mesh n=%d: %d vertices, %d triangles", n,
                 mesh.n_vertices, mesh.n_triangles)
@@ -671,8 +668,8 @@ def dump_mesh(obj, path):
     """Write a mesh (TemplateCell or PerforatedMesh) as plain text.
 
     One record per line: ``v x y``, ``t i j k phase``, ``ei i j``,
-    ``eb i j class`` with class in {fext, sext}; 0-based indices, floats with
-    17 significant digits.
+    ``eb i j fext`` (every boundary edge adjoins fluid); 0-based indices,
+    floats with 17 significant digits.
     """
     lines = []
     for p in obj.vertices:
@@ -681,8 +678,7 @@ def dump_mesh(obj, path):
         lines.append("t %d %d %d %s" % (tri[0], tri[1], tri[2], PHASE_NAMES[int(ph)]))
     for e in obj.interface_edges:
         lines.append("ei %d %d" % (e[0], e[1]))
-    for e, c in zip(obj.boundary_edges, obj.boundary_edge_class):
-        cls = "fext" if int(c) == FLUID else "sext"
-        lines.append("eb %d %d %s" % (e[0], e[1], cls))
+    for e in obj.boundary_edges:
+        lines.append("eb %d %d fext" % (e[0], e[1]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -29,6 +29,7 @@ for the species, no exterior displacement flux for the potential.
 
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +45,7 @@ from .fem import (
     assemble_stiffness,
     cg_solve,
     newton_solve,
+    phase_integrals,
     quadrature,
 )
 from .randomfield import eval_field_eps
@@ -422,15 +424,15 @@ class _Transport:
             % (change, p.gummel_max), change, p.gummel_max, None)
 
     def run(self, initial_spec):
-        """Run to t_final; returns (snapshots, ledger).
+        """Run to t_final from the initial_condition of initial_spec;
+        returns (snapshots, ledger).
 
         Snapshots are taken at step indices closest to a uniform grid of
         n_outputs intervals, always including t = 0 and t_final.  A step
         failure raises MicroRunError carrying the partial ledger.
         """
         p = self.params
-        state = (initial_spec if isinstance(initial_spec, MicroState)
-                 else self.initial_condition(initial_spec))
+        state = self.initial_condition(initial_spec)
         n_steps = p.n_steps()
         n_out = max(1, min(p.n_outputs, n_steps)) if n_steps else 0
         out_idx = sorted(set(int(round(k * n_steps / n_out))
@@ -469,24 +471,17 @@ class MicroProblem(_Transport):
         self.fluid_vertices = mesh.vertices[self.fluid_ids]
         self.nv_global = mesh.vertices.shape[0]
 
-        fluid_mask = mesh.tri_phase == 0
-        tris_f = mesh.triangles[fluid_mask]
-        tris_s = mesh.triangles[~fluid_mask]
-
-        def field_on(field):
-            def coeff(pts):
-                return eval_field_eps(field, self.omega, pts, self.eps)
-            return coeff
-
-        A = assemble_stiffness(mesh.vertices, tris_f,
-                               coefficient=field_on(fields.rho_f))
-        if tris_s.shape[0] > 0:
-            A = A + assemble_stiffness(mesh.vertices, tris_s,
-                                       coefficient=field_on(fields.rho_s))
-        self.A_theta = A
-
+        # the fields at (T(x/eps) omega, x/eps^2); rho_f on phase 0 (fluid),
+        # rho_s on phase 1 (solid)
+        omega, eps = self.omega, self.eps
+        self.A_theta = assemble_stiffness(
+            mesh.vertices, mesh.triangles, phase_integrals(
+                mesh.vertices, mesh.triangles, mesh.tri_phase,
+                [partial(eval_field_eps, f, omega, eps=eps)
+                 for f in (fields.rho_f, fields.rho_s)]))
         self.surface_w = assemble_interface_load(
-            mesh.vertices, mesh.interface_edges, field_on(fields.eta),
+            mesh.vertices, mesh.interface_edges,
+            partial(eval_field_eps, fields.eta, omega, eps=eps),
             quadrature("edge-gauss-4"))
 
         self.A_fluid = assemble_stiffness(self.fluid_vertices, self.fluid_tris)

@@ -12,6 +12,7 @@ from pnphom.config import (
     make_initial_function,
     write_config,
 )
+from pnphom.macro import macro_mesh
 
 
 def test_defaults_load():
@@ -83,6 +84,15 @@ def test_invalid_json_rejected(tmp_path):
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):
         load_config(overrides=bad)
+
+
+@pytest.mark.parametrize("resolution", [9, 97])
+def test_odd_macro_resolution_rejected(resolution):
+    # the limit mesh would get resolution + 1 cells per side, unrecorded
+    assert (macro_mesh(resolution).n_vertices
+            == macro_mesh(resolution + 1).n_vertices)
+    with pytest.raises(ConfigError, match="even"):
+        load_config(overrides={"macro_resolution": resolution})
 
 
 def test_initial_constant_scalar():

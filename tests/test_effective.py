@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,11 +22,28 @@ from pnphom.effective import (
     solve_species_cell,
     surface_factor,
     _require_connected,
+    _solve_cell,
 )
-from pnphom.fem import tri_geometry, tri_gradient
-from pnphom.geometry import UnitCellSpec, build_template_cell
+from pnphom.fem import (
+    assemble_interface_load,
+    phase_integrals,
+    quadrature,
+    tri_geometry,
+    tri_gradient,
+)
+from pnphom.geometry import (
+    UnitCellSpec,
+    _side_vertices,
+    build_template_cell,
+    tile_domain,
+)
 from pnphom.micro import MicroCoefficients
-from pnphom.randomfield import CoefficientField, GammaFunction
+from pnphom.randomfield import (
+    CoefficientField,
+    GammaFunction,
+    eval_field_eps,
+    sample_omega,
+)
 
 
 @pytest.fixture(scope="module")
@@ -406,3 +424,63 @@ def test_drift_identity_by_quadrature(template, coarse_template):
         wsol, _ = solve_dielectric_single(coarse_template, fields.rho_f,
                                           fields.rho_s, omega)
         assert np.abs(_drift_quadrature(species, wsol) - A).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the fine operator against the cell coefficients
+
+
+def _fine_coefficients(mesh, fields, omega):
+    """Periodic tensor and surface factor of the fine problem on a tiling.
+
+    The fine coefficients at eps = 1/n are 1-periodic on the unit square,
+    so the fine dielectric operator has a periodic tensor of its own: the
+    cell problem on the whole tiled square with the fine per-triangle
+    integrals.  The fine surface factor is eps times the sum of the
+    surface weights.
+    """
+    eps = mesh.epsilon
+    csum = phase_integrals(
+        mesh.vertices, mesh.triangles, mesh.tri_phase,
+        [partial(eval_field_eps, f, omega, eps=eps)
+         for f in (fields.rho_f, fields.rho_s)])
+    sides = _side_vertices(mesh.vertices, mesh.boundary_edges)
+    pairs = [np.column_stack([sides["left"], sides["right"]]),
+             np.column_stack([sides["bottom"], sides["top"]])]
+    _, tensor = _solve_cell("dielectric", mesh.vertices, mesh.triangles,
+                            None, pairs, csum)
+    surface_w = assemble_interface_load(
+        mesh.vertices, mesh.interface_edges,
+        partial(eval_field_eps, fields.eta, omega, eps=eps),
+        quadrature("edge-gauss-4"))
+    return tensor, eps * surface_w.sum()
+
+
+def _per_phase_constant_fields():
+    return MicroCoefficients(
+        rho_f=CoefficientField("rho_f", 2.0),
+        rho_s=CoefficientField("rho_s", 0.5),
+        eta=CoefficientField("eta", 1.5),
+        gamma=GammaFunction("linear", alpha=1.0))
+
+
+# in constant-y mode the fine coefficient is a laminate in x1, which the
+# P1 template mesh resolves to 1.1e-4 (measured); with per-phase constants
+# the tiled cell problem is the cell problem, up to rounding
+@pytest.mark.parametrize("make_fields,mode,bound", [
+    (default_fields, "constant-y", 2e-4),
+    (_per_phase_constant_fields, "frozen-omega", 1e-12),
+], ids=["constant-y", "frozen-omega"])
+def test_fine_operator_matches_cell_coefficients(template, make_fields, mode,
+                                                 bound):
+    fields = make_fields()
+    eff = compute_effective(template, fields, K=32)
+    assert eff.provenance["dielectric_mode"] == mode
+    for n in (1, 2, 3):
+        mesh = tile_domain(template, n)
+        for seed in (0, 1):
+            tensor, s_fine = _fine_coefficients(mesh, fields,
+                                                sample_omega(seed).omega)
+            gap = np.abs(tensor - eff.theta_eff).max()
+            assert gap <= bound * np.abs(eff.theta_eff).max()
+            assert s_fine == pytest.approx(eff.s_bar, rel=1e-12)

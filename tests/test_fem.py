@@ -19,6 +19,7 @@ from pnphom.fem import (
     edge_quadrature_points,
     map_triangle_quadrature,
     newton_solve,
+    phase_integrals,
     quadrature,
     tri_geometry,
 )
@@ -154,10 +155,26 @@ def test_stiffness_varying_coefficient_exact():
     def coef(p):
         return 1.0 + p[:, 0]
 
-    A = assemble_stiffness(cell.vertices, cell.triangles, coefficient=coef)
+    csum = phase_integrals(cell.vertices, cell.triangles, cell.tri_phase,
+                           [coef])
+    A = assemble_stiffness(cell.vertices, cell.triangles, coefficient=csum)
     u = cell.vertices[:, 0].copy()
     assert u.dot(A @ u) == pytest.approx(1.5, abs=1e-12)
     assert np.abs(A @ np.ones(len(cell.vertices))).max() <= 1e-12
+
+
+def test_phase_integrals_split_by_phase(fluid_template):
+    cell, _, _ = fluid_template
+    areas, _ = tri_geometry(cell.vertices, cell.triangles)
+    csum = phase_integrals(cell.vertices, cell.triangles, cell.tri_phase,
+                           [_uniform(2.0), _uniform(0.5)])
+    assert np.allclose(csum, np.where(cell.tri_phase == 0, 2.0, 0.5) * areas,
+                       rtol=1e-15, atol=0.0)
+    with pytest.raises(AssemblyError):
+        phase_integrals(cell.vertices, cell.triangles, cell.tri_phase,
+                        [_uniform(2.0)])
+    with pytest.raises(AssemblyError):
+        assemble_stiffness(cell.vertices, cell.triangles, csum[:-1])
 
 
 def test_stiffness_rejects_nonsymmetric_tensor():

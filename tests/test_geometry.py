@@ -1,5 +1,6 @@
 """Tests for the unit-cell mesher and periodic tiling."""
 
+import copy
 import io
 import math
 
@@ -15,6 +16,7 @@ from pnphom.geometry import (
     MeshConstructionError,
     PerforatedMesh,
     UnitCellSpec,
+    _validate_template,
     build_template_cell,
     dump_mesh,
     tile_domain,
@@ -106,6 +108,15 @@ def test_interface_edges_separate_phases(default_cell):
         assert phases == {FLUID, SOLID}
 
 
+@pytest.mark.parametrize("phase", [FLUID, SOLID])
+def test_interface_edge_inside_one_phase_rejected(coarse_cell, phase):
+    cell = copy.copy(coarse_cell)
+    tri = cell.triangles[np.argmax(cell.tri_phase == phase)]
+    cell.interface_edges = np.vstack([cell.interface_edges, tri[:2]])
+    with pytest.raises(MeshConstructionError, match="interface edge"):
+        _validate_template(cell)
+
+
 def test_periodic_pairing(default_cell):
     cell = default_cell
     pairs = cell.periodic_pairs()
@@ -184,16 +195,19 @@ def test_tiling_is_stitched(request, cell_name, n):
 
 def test_tiling_boundary_classes(coarse_cell):
     mesh = tile_domain(coarse_cell, 2)
-    assert set(np.unique(mesh.boundary_edge_class)) <= {0, 1}
     p = mesh.vertices
-    for e, cls in zip(mesh.boundary_edges, mesh.boundary_edge_class):
+    t = mesh.triangles[mesh.tri_phase == FLUID]
+    fluid_edges = {tuple(sorted(e)) for e in
+                   np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])}
+    for e in mesh.boundary_edges:
         x0, x1 = p[e[0]], p[e[1]]
         on_bnd = (
             (x0[0] == x1[0] and x0[0] in (0.0, 1.0))
             or (x0[1] == x1[1] and x0[1] in (0.0, 1.0))
         )
         assert on_bnd
-        assert cls == 0  # all exterior edges adjoin fluid for this geometry
+        # all exterior edges adjoin fluid, as the dump's fext records say
+        assert tuple(sorted(e)) in fluid_edges
 
 
 def test_fluid_submesh(coarse_cell):
@@ -237,8 +251,8 @@ def test_dump_load_round_trip(coarse_cell, tmp_path):
     eb = records["eb"]
     assert np.array_equal(np.array([r[:2] for r in eb], dtype=np.int64),
                           mesh.boundary_edges)
-    side = {"fext": FLUID, "sext": SOLID}
-    assert np.array_equal([side[r[2]] for r in eb], mesh.boundary_edge_class)
+    # the inclusion lies inside the cell, so every exterior edge is fluid
+    assert {r[2] for r in eb} == {"fext"}
 
 
 def test_dump_format(coarse_cell, tmp_path):
