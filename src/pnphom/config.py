@@ -153,6 +153,8 @@ class ExperimentConfig:
         if self.n_omega_samples < 1:
             raise ConfigError("n_omega_samples must be >= 1")
         self.seed = int(data["seed"])
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0, got %d" % self.seed)
         self.K = int(data["K"])
         self.macro_resolution = int(data["macro_resolution"])
         if self.macro_resolution < 4 or self.macro_resolution % 2:

@@ -31,7 +31,6 @@ from .fem import (
     assemble_interface_load,
     assemble_stiffness,
     phase_integrals,
-    quadrature,
     tri_geometry,
     tri_gradient,
 )
@@ -50,10 +49,6 @@ class CellSolveError(RuntimeError):
 
 class OmegaGridError(ValueError):
     """The sample-stage grid cannot resolve the coefficient modes."""
-
-    def __init__(self, message, required):
-        super().__init__(message)
-        self.required = required
 
 
 RESIDUAL_GATE = 1e-10
@@ -119,25 +114,21 @@ class CellProblemSolution:
     ----------
     kind : str, one of 'species-y', 'dielectric-y'
     vertices, triangles : the (sub)mesh the correctors live on
-    vertex_ids : global template vertex ids (None when the full mesh is used)
     correctors : list of two vertex arrays, one per unit direction
     residuals : list of two relative residuals
-    coefficient : per-triangle integral of the driving coefficient
     operator : the factored periodic cell operator the correctors solve;
         its rep is the periodic representative map on the local vertex
         set, its weights the mean-zero weight vector (lumped measure of
         the region)
     """
 
-    def __init__(self, kind, vertices, triangles, vertex_ids, correctors,
-                 residuals, coefficient, operator):
+    def __init__(self, kind, vertices, triangles, correctors, residuals,
+                 operator):
         self.kind = kind
         self.vertices = vertices
         self.triangles = triangles
-        self.vertex_ids = vertex_ids
         self.correctors = correctors
         self.residuals = residuals
-        self.coefficient = coefficient
         self.operator = operator
 
     def periodicity_defect(self):
@@ -149,8 +140,7 @@ class CellProblemSolution:
         return max(abs(float(weights.dot(u))) for u in self.correctors)
 
 
-def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
-                csum=None):
+def _solve_cell(kind, vertices, triangles, pair_arrays, csum=None):
     """Unit-direction correctors of div(a (e_k + grad u)) = 0 on a cell.
 
     csum is the per-triangle integral of a (the area when None, a = 1);
@@ -177,8 +167,8 @@ def _solve_cell(kind, vertices, triangles, vertex_ids, pair_arrays,
         correctors.append(u)
         residuals.append(resid)
         fluxes.append(flux)
-    sol = CellProblemSolution(kind + "-y", vertices, triangles, vertex_ids,
-                              correctors, residuals, csum, operator)
+    sol = CellProblemSolution(kind + "-y", vertices, triangles, correctors,
+                              residuals, operator)
     return sol, _energy_tensor(csum, fluxes, fluxes)
 
 
@@ -193,7 +183,7 @@ def _fluid_subcell(template):
         if (local < 0).any():
             raise CellSolveError("periodic boundary touches the solid phase")
         pair_arrays.append(local)
-    return template.vertices[vertex_ids], local_tris, vertex_ids, pair_arrays
+    return template.vertices[vertex_ids], local_tris, pair_arrays
 
 
 def _require_connected(triangles, nv):
@@ -230,9 +220,9 @@ def solve_species_cell(template):
     -------
     (CellProblemSolution, (2, 2) array)
     """
-    verts, tris, vertex_ids, pair_arrays = _fluid_subcell(template)
+    verts, tris, pair_arrays = _fluid_subcell(template)
     _require_connected(tris, verts.shape[0])
-    return _solve_cell("species", verts, tris, vertex_ids, pair_arrays)
+    return _solve_cell("species", verts, tris, pair_arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +243,7 @@ def solve_dielectric_single(template, rho_f, rho_s, omega):
         template.vertices, template.triangles, template.tri_phase,
         [partial(rho.evaluate, omega) for rho in (rho_f, rho_s)])
     return _solve_cell("dielectric", template.vertices, template.triangles,
-                       None, list(template.periodic_pairs().values()), csum)
+                       list(template.periodic_pairs().values()), csum)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +403,12 @@ class DielectricResult:
     solve per grid element).
     """
 
-    def __init__(self, mode, K, theta_star, theta_eff, stage2_correctors,
-                 stage1_residual_max, stage2_residuals, stage1_solves):
+    def __init__(self, mode, K, theta_star, theta_eff, stage1_residual_max,
+                 stage2_residuals, stage1_solves):
         self.mode = mode
         self.K = K
         self.theta_star = theta_star
         self.theta_eff = theta_eff
-        self.stage2_correctors = stage2_correctors
         self.stage1_residual_max = stage1_residual_max
         self.stage2_residuals = stage2_residuals
         self.stage1_solves = stage1_solves
@@ -439,9 +428,9 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
     if freq and K < required:
         raise OmegaGridError(
             "sample grid K=%d cannot resolve modes up to frequency %d; "
-            "need K >= %d" % (K, freq, required), required)
+            "need K >= %d" % (K, freq, required))
     if K < 2:
-        raise OmegaGridError("sample grid needs K >= 2", 2)
+        raise OmegaGridError("sample grid needs K >= 2")
 
     centers = omega_grid_centers(K)
     theta_star = np.empty((K, K, 2, 2))
@@ -471,9 +460,9 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
                 stage1_resid = max(stage1_resid, max(sol.residuals))
         solves = K * K
 
-    correctors, theta_eff, stage2_resid = q1_periodic_solve(theta_star)
-    return DielectricResult(mode, K, theta_star, theta_eff, correctors,
-                            stage1_resid, stage2_resid, solves)
+    _, theta_eff, stage2_resid = q1_periodic_solve(theta_star)
+    return DielectricResult(mode, K, theta_star, theta_eff, stage1_resid,
+                            stage2_resid, solves)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +477,8 @@ def surface_factor(template, eta_field):
     sample-averaged field; this is exact, no grid is involved.
     """
     return float(assemble_interface_load(
-        template.vertices, template.interface_edges, eta_field.omega_average,
-        quadrature("edge-gauss-4")).sum())
+        template.vertices, template.interface_edges,
+        eta_field.omega_average).sum())
 
 
 class EffectiveCoefficients:

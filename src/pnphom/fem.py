@@ -1,12 +1,13 @@
 """Sparse P1 finite-element kernels shared by every solver in the package.
 
-Quadrature rules; the per-triangle integrals of a phase-split density;
-vectorized assembly of stiffness matrices from such integrals or from a
-constant tensor and of mass matrices (as canonical scipy CSR matrices), of
-drift matrices on a fixed mesh pattern and of interface-trace loads; the
-sparse LU and the bordered LU of a problem whose kernel is the constants;
-CG through ``scipy.sparse.linalg`` with an iteration count; and a damped
-Newton iteration for the nonlinear interface term.
+The edge-midpoint triangle rule, in the per-triangle integrals of a
+phase-split density, and the Gauss-Legendre edge rules; vectorized assembly
+of stiffness matrices from such integrals or from a constant tensor and of
+mass matrices (as canonical scipy CSR matrices), of drift matrices on a
+fixed mesh pattern and of interface-trace loads; the sparse LU and the
+bordered LU of a problem whose kernel is the constants; CG through
+``scipy.sparse.linalg`` with an iteration count; and a damped Newton
+iteration for the nonlinear interface term.
 """
 
 import math
@@ -53,56 +54,6 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-class QuadratureRule:
-    """Reference-element quadrature.
-
-    kind 'triangle-3pt' (degree 2) lives on the unit reference triangle with
-    measure 1/2; 'edge-gauss-k' for k in {2, 4, 8} lives on the unit
-    interval with measure 1.
-    """
-
-    def __init__(self, kind, points, weights):
-        self.kind = kind
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        ref = 0.5 if kind.startswith("triangle") else 1.0
-        if abs(self.weights.sum() - ref) > 1e-15:
-            raise AssemblyError(
-                "quadrature %s weights sum to %.17g, expected %g"
-                % (kind, self.weights.sum(), ref))
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def quadrature(kind):
-    """Build a named quadrature rule.
-
-    Parameters
-    ----------
-    kind : str
-        One of 'triangle-3pt', 'edge-gauss-2', 'edge-gauss-4',
-        'edge-gauss-8'.
-    """
-    if kind == "triangle-3pt":
-        pts = [(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]
-        wts = [1.0 / 6.0] * 3
-        return QuadratureRule(kind, pts, wts)
-    if kind.startswith("edge-gauss-"):
-        k = int(kind.rsplit("-", 1)[1])
-        if k not in (2, 4, 8):
-            raise AssemblyError("edge Gauss order must be 2, 4 or 8, got %d" % k)
-        nodes, weights = np.polynomial.legendre.leggauss(k)
-        pts = 0.5 * (nodes + 1.0)
-        wts = 0.5 * weights
-        return QuadratureRule(kind, pts.reshape(-1, 1), wts)
-    raise AssemblyError("unknown quadrature kind %r" % kind)
-
-
-# ---------------------------------------------------------------------------
 # geometry helpers
 
 
@@ -137,29 +88,6 @@ def tri_geometry(vertices, triangles):
     return areas, grads
 
 
-def map_triangle_quadrature(vertices, triangles, rule):
-    """Physical quadrature points and scaled weights for a triangle batch.
-
-    Returns
-    -------
-    pts : (nt, nq, 2) points
-    wts : (nt, nq) weights including the Jacobian (sum over q = area).
-    """
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    xi = rule.points[:, 0]
-    eta = rule.points[:, 1]
-    pts = (p0[:, None, :] * (1.0 - xi - eta)[None, :, None]
-           + p1[:, None, :] * xi[None, :, None]
-           + p2[:, None, :] * eta[None, :, None])
-    d1 = p1 - p0
-    d2 = p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    wts = det[:, None] * rule.weights[None, :]
-    return pts, wts
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -181,24 +109,28 @@ def phase_integrals(vertices, triangles, tri_phase, densities):
     """Per-triangle integrals of a phase-split density, shape (nt,).
 
     Triangle t integrates densities[tri_phase[t]], a callable(points (m,2))
-    -> (m,) values, by the triangle-3pt rule.  These integrals are the
+    -> (m,) values, by the midpoint rule: the three edge midpoints with
+    weight area/3 each, exact for quadratics.  These integrals are the
     coefficient of :func:`assemble_stiffness`.
     """
     triangles = np.asarray(triangles)
     tri_phase = np.asarray(tri_phase)
     if not np.isin(tri_phase, np.arange(len(densities))).all():
         raise AssemblyError("a triangle phase has no density")
-    rule = quadrature("triangle-3pt")
-    nq = len(rule)
-    pts, wts = map_triangle_quadrature(vertices, triangles, rule)
+    areas = tri_geometry(vertices, triangles)[0]
+    # midpoints of the edges (0,1), (1,2), (2,0), formed in place
+    pts = vertices[triangles]
+    pts += np.roll(pts, -1, axis=1)
+    pts *= 0.5
+    # one weight per point, so each integral sums three weighted values
+    wts = np.repeat(((2.0 * areas) * (1.0 / 6.0))[:, None], 3, axis=1)
     csum = np.empty(triangles.shape[0])
     for phase, density in enumerate(densities):
         mask = tri_phase == phase
         if not mask.any():
             continue
         vals = np.asarray(density(pts[mask].reshape(-1, 2)), dtype=float)
-        csum[mask] = np.einsum("tq,tq->t", wts[mask],
-                               vals.reshape(mask.sum(), nq))
+        csum[mask] = np.einsum("tq,tq->t", wts[mask], vals.reshape(-1, 3))
     return csum
 
 
@@ -242,11 +174,8 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
             raise AssemblyError(
                 "tensor coefficient is not symmetric: |a - a^T| = %.3e"
                 % skew)
-        rule = quadrature("triangle-3pt")
-        _, wts = map_triangle_quadrature(vertices, triangles, rule)
-        weighted = np.einsum("tq,tqde->tde", wts,
-                             np.broadcast_to(coef, (nt, len(rule), 2, 2)))
-        local = np.einsum("tid,tde,tje->tij", grads, weighted, grads)
+        local = (np.einsum("tid,de,tje->tij", grads, coef, grads)
+                 * areas[:, None, None])
 
     return _sum_local(triangles, local, vertices.shape[0])
 
@@ -348,28 +277,27 @@ def assemble_drift(pattern, cell_velocity):
                                       minlength=pattern.nnz))
 
 
-def assemble_interface_load(vertices, edges, density, rule):
+def assemble_interface_load(vertices, edges, density):
     """Integrate a density against P1 traces on a set of edges.
 
     Returns the vector b with b_i = sum over edges of
-    int_edge density * hat_i dS, using the edge rule along each edge.
-    With density = 1 the entries sum to the total edge length.
+    int_edge density * hat_i dS, by 4-point Gauss along each edge.  With
+    density = 1 the entries sum to the total edge length.
 
     Parameters
     ----------
     density : callable(points (m,2)) -> (m,) values
-    rule : QuadratureRule of an 'edge-gauss-k' kind
     """
     edges = np.asarray(edges)
     b = np.zeros(vertices.shape[0])
     if edges.shape[0] == 0:
         return b
-    pts, wts = edge_quadrature_points(vertices, edges, rule)
+    pts, wts = edge_quadrature_points(vertices, edges, 4)
     lengths = wts.sum(axis=1)
     if lengths.min() < 1e-15:
         bad = int(np.argmin(lengths))
         raise AssemblyError("zero-length edge %d" % bad)
-    t = rule.points[:, 0]
+    t, _ = _unit_gauss(4)
     w = np.asarray(density(pts.reshape(-1, 2)), dtype=float).reshape(
         wts.shape) * wts
     np.add.at(b, edges[:, 0], (w * (1.0 - t)).sum(axis=1))
@@ -377,21 +305,28 @@ def assemble_interface_load(vertices, edges, density, rule):
     return b
 
 
-def edge_quadrature_points(vertices, edges, rule):
-    """Physical quadrature points and weights along a set of edges.
+def _unit_gauss(order):
+    """Gauss-Legendre nodes and weights of the given order on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def edge_quadrature_points(vertices, edges, order):
+    """Gauss-Legendre points and weights of the given order along a set of
+    edges, exact for polynomials of degree 2 order - 1 on each edge.
 
     Returns
     -------
-    pts : (ne, nq, 2)
-    wts : (ne, nq), summing to the total length.
+    pts : (ne, order, 2)
+    wts : (ne, order), summing to the total length.
     """
     edges = np.asarray(edges)
     p0 = vertices[edges[:, 0]]
     p1 = vertices[edges[:, 1]]
     lengths = np.linalg.norm(p1 - p0, axis=1)
-    t = rule.points[:, 0]
+    t, w = _unit_gauss(order)
     pts = p0[:, None, :] * (1.0 - t)[None, :, None] + p1[:, None, :] * t[None, :, None]
-    wts = lengths[:, None] * rule.weights[None, :]
+    wts = lengths[:, None] * w[None, :]
     return pts, wts
 
 

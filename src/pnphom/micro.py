@@ -46,7 +46,6 @@ from .fem import (
     cg_solve,
     newton_solve,
     phase_integrals,
-    quadrature,
 )
 from .randomfield import eval_field_eps
 
@@ -101,6 +100,8 @@ class PnpParams:
             raise ValueError("dt exceeds t_final")
         if self.gummel_max < 1 or self.gummel_tol <= 0 or self.linear_tol <= 0:
             raise ValueError("iteration controls must be positive")
+        if self.n_outputs < 1:
+            raise ValueError("n_outputs must be >= 1, got %d" % self.n_outputs)
 
     def n_steps(self):
         if self.t_final == 0.0:
@@ -434,7 +435,7 @@ class _Transport:
         p = self.params
         state = self.initial_condition(initial_spec)
         n_steps = p.n_steps()
-        n_out = max(1, min(p.n_outputs, n_steps)) if n_steps else 0
+        n_out = min(p.n_outputs, n_steps) if n_steps else 0
         out_idx = sorted(set(int(round(k * n_steps / n_out))
                              for k in range(n_out + 1))) if n_steps else [0]
         ledger = ConservationLedger()
@@ -481,8 +482,7 @@ class MicroProblem(_Transport):
                  for f in (fields.rho_f, fields.rho_s)]))
         self.surface_w = assemble_interface_load(
             mesh.vertices, mesh.interface_edges,
-            partial(eval_field_eps, fields.eta, omega, eps=eps),
-            quadrature("edge-gauss-4"))
+            partial(eval_field_eps, fields.eta, omega, eps=eps))
 
         self.A_fluid = assemble_stiffness(self.fluid_vertices, self.fluid_tris)
         self.M_charge = assemble_mass(self.fluid_vertices, self.fluid_tris)

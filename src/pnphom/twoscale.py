@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .fem import edge_quadrature_points, quadrature
+from .fem import edge_quadrature_points
 from .geometry import tile_domain
 from .randomfield import sample_omega
 
@@ -292,12 +292,11 @@ def bundled_suite():
 class OscillationEstimate:
     """One Monte Carlo estimate of an oscillation integral."""
 
-    def __init__(self, value, stderr, M, eps, detail=""):
+    def __init__(self, value, stderr, M, eps):
         self.value = value
         self.stderr = stderr
         self.M = M
         self.eps = eps
-        self.detail = detail
 
     def __repr__(self):
         return "OscillationEstimate(eps=%g, value=%.8g +- %.2g, M=%d)" % (
@@ -342,7 +341,7 @@ def volume_oscillation(a, eps, M=64, base_seed=0):
         vals[i] = prod.mean()
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(M_eff)) if M_eff > 1 else 0.0
-    return OscillationEstimate(value, stderr, M_eff, eps, detail="N=%d" % N)
+    return OscillationEstimate(value, stderr, M_eff, eps)
 
 
 def surface_oscillation(a, mesh, eps, M=64, base_seed=0):
@@ -358,8 +357,7 @@ def surface_oscillation(a, mesh, eps, M=64, base_seed=0):
                          % (mesh.n, n))
     if mesh.interface_edges.shape[0] == 0:
         raise ValueError("mesh has an empty interface")
-    pts, wts = edge_quadrature_points(
-        mesh.vertices, mesh.interface_edges, quadrature("edge-gauss-8"))
+    pts, wts = edge_quadrature_points(mesh.vertices, mesh.interface_edges, 8)
     P = pts.reshape(-1, 2)
     w_q = wts.ravel()
     F = a.f.value(P)
@@ -381,8 +379,7 @@ def surface_oscillation(a, mesh, eps, M=64, base_seed=0):
         vals[i] = eps * float(w_q.dot(prod))
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(M_eff)) if M_eff > 1 else 0.0
-    return OscillationEstimate(value, stderr, M_eff, eps,
-                               detail="facets=%d" % mesh.interface_edges.shape[0])
+    return OscillationEstimate(value, stderr, M_eff, eps)
 
 
 # ---------------------------------------------------------------------------

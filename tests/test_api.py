@@ -1,5 +1,5 @@
 """Every public name, method and defaulted parameter of the package has a
-caller outside tests."""
+caller outside tests, and every public attribute it assigns a reader."""
 
 import ast
 import glob
@@ -10,9 +10,10 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "pnphom")
 
-# public names, methods (Class.method) and defaulted parameters
+# public names, methods (Class.method), defaulted parameters
 # (function(param), Class(param) for the constructor, Class.method(param))
-# whose only callers are tests, each kept for a reason
+# and attributes (Class.attribute) whose only callers or readers are
+# tests, each kept for a reason
 ALLOWED = {
     # the sample-stage species corrector whose vanishing acceptance
     # criterion 06 checks
@@ -34,6 +35,9 @@ ALLOWED = {
     "main(argv)",
     # the exponent of the paper's L^p oscillation integrals
     "TestIntegrand(p)",
+    # the stage-1 tensors per sample, which the acceptance checks compare
+    # with the closed forms of a cell-layered coefficient
+    "DielectricResult.theta_star",
 }
 
 
@@ -255,6 +259,36 @@ def _scan(sources):
     return definitions, methods, callables, units
 
 
+def _unread(sources, allowed):
+    """Public attributes the package assigns on ``self`` that no source
+    reads: no attribute load of the name and no string constant that
+    ``getattr`` could use.  Labels are module.Class.attribute."""
+    assigned, read = {}, set()
+    for module, text, in_package in sources:
+        tree = ast.parse(text, module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+        if not in_package:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                        and not node.attr.startswith("_")):
+                    assigned["%s.%s" % (cls.name, node.attr)] = module
+    return sorted("%s.%s" % (module, key) for key, module in assigned.items()
+                  if key.split(".")[1] not in read and key not in allowed)
+
+
 def _allowed(label):
     """The allow-list key of a label: the module prefix dropped."""
     return label.split(".", 1)[1]
@@ -308,36 +342,65 @@ def _unpassed(callables, units, orphans, allowed):
 
 
 def _findings(allowed=ALLOWED, sources=None):
-    """Labels of the orphaned names and methods, and of the unpassed
-    defaulted parameters, of the sources (the package and the benchmark
-    when None)."""
-    definitions, methods, callables, units = _scan(sources or _sources())
+    """Labels of the orphaned names and methods, of the unpassed defaulted
+    parameters and of the unread attributes of the sources (the package
+    and the benchmark when None)."""
+    sources = sources or _sources()
+    definitions, methods, callables, units = _scan(sources)
     assert definitions, "no package sources found under %s" % PACKAGE
     orphans = _orphans(definitions, methods, units, allowed)
     labels = sorted("%s.%s" % (definitions[o], o) if isinstance(o, str)
                     else "%s.%s.%s" % (methods[o], o[0], o[1])
                     for o in orphans)
-    return labels, _unpassed(callables, units, orphans, allowed)
+    return (labels, _unpassed(callables, units, orphans, allowed),
+            _unread(sources, allowed))
 
 
 def test_public_names_have_callers():
-    orphans, _ = _findings()
+    orphans, _, _ = _findings()
     assert not orphans, "public names with no caller outside tests: %s" % (
         ", ".join(orphans))
 
 
 def test_defaulted_parameters_are_passed():
-    _, unpassed = _findings()
+    _, unpassed, _ = _findings()
     assert not unpassed, (
         "defaulted parameters no caller outside tests passes: %s"
         % ", ".join(unpassed))
 
 
+def test_public_attributes_are_read():
+    _, _, unread = _findings()
+    assert not unread, (
+        "public attributes nothing outside tests reads: %s"
+        % ", ".join(unread))
+
+
+ATTRIBUTES = """
+class A:
+    def __init__(self):
+        self.loaded = 1
+        self.named = 2
+        self.written = 3
+        self._private = 4
+
+    def show(self):
+        return self.loaded, getattr(self, "named")
+"""
+
+
+def test_attribute_read_by_load_or_getattr_name():
+    sources = [("demo", ATTRIBUTES + "\nA().show()\n", True)]
+    assert _findings(set(), sources)[2] == ["demo.A.written"]
+    assert _findings({"A.written"}, sources)[2] == []
+
+
 def test_allow_list_is_current():
     """Every allow-list entry names a definition that has no other caller."""
     for entry in sorted(ALLOWED):
-        orphans, unpassed = _findings(ALLOWED - {entry})
-        flagged = {_allowed(label) for label in orphans + unpassed}
+        flagged = {_allowed(label)
+                   for labels in _findings(ALLOWED - {entry})
+                   for label in labels}
         assert entry in flagged, "stale allow-list entry %s" % entry
 
 
@@ -374,6 +437,6 @@ main(None)
 ], ids=["self", "constructor", "unresolved"])
 def test_receiver_decides_which_method_is_reached(reach_a, body, flagged):
     source = TWO_CLASSES.format(reach_a=reach_a, body=body)
-    orphans, unpassed = _findings(set(), [("demo", source, True)])
+    orphans, unpassed, _ = _findings(set(), [("demo", source, True)])
     assert orphans == flagged
     assert unpassed == []

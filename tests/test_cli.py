@@ -191,6 +191,15 @@ def test_unresolvable_sample_grid_exits_2(tmp_path, capsys):
     assert "config error: sample grid K=2" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(small_cfg, tmp_path, capsys):
+    # the sample seeds seed + i must be valid numpy seeds
+    with pytest.raises(SystemExit) as err:
+        run_cli(["micro", "--config", small_cfg,
+                 "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert err.value.code == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         run_cli([])

@@ -80,6 +80,8 @@ def test_invalid_json_rejected(tmp_path):
     {"initial": {"plus": {"kind": "cosine", "base": 0.2,
                           "amplitude": 0.5}}},
     {"twoscale": {"eps_list": [8, 4]}},
+    {"seed": -1},
+    {"pnp": {"n_outputs": 0}},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):

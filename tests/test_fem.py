@@ -1,4 +1,4 @@
-"""Tests for quadrature, P1 assembly, and the iterative solvers."""
+"""Tests for the quadrature rules, P1 assembly, and the iterative solvers."""
 
 import math
 
@@ -17,10 +17,8 @@ from pnphom.fem import (
     assemble_stiffness,
     cg_solve,
     edge_quadrature_points,
-    map_triangle_quadrature,
     newton_solve,
     phase_integrals,
-    quadrature,
     tri_geometry,
 )
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
@@ -59,18 +57,18 @@ def _fluid_region(cell):
 # quadrature
 
 
-def test_quadrature_weight_sums():
-    assert quadrature("triangle-3pt").weights.sum() == pytest.approx(0.5, abs=1e-15)
+def test_quadrature_weight_sums(fluid_template):
+    # the triangle rule's weights sum to the area, the edge rules' to the
+    # length
+    cell, _, _ = fluid_template
+    areas, _ = tri_geometry(cell.vertices, cell.triangles)
+    csum = phase_integrals(cell.vertices, cell.triangles, cell.tri_phase,
+                           [_uniform(1.0), _uniform(1.0)])
+    assert np.array_equal(csum, 3.0 * ((2.0 * areas) * (1.0 / 6.0)))
+    verts = np.array([[0.0, 0.0], [1.0, 0.0]])
     for k in (2, 4, 8):
-        assert quadrature("edge-gauss-%d" % k).weights.sum() == pytest.approx(
-            1.0, abs=1e-15)
-
-
-def test_quadrature_unknown_kind():
-    with pytest.raises(AssemblyError):
-        quadrature("triangle-9pt")
-    with pytest.raises(AssemblyError):
-        quadrature("edge-gauss-3")
+        _, wts = edge_quadrature_points(verts, [[0, 1]], k)
+        assert wts.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def _ref_integral(a, b):
@@ -78,30 +76,42 @@ def _ref_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("kind,degree", [("triangle-3pt", 2)])
-def test_triangle_rule_polynomial_exactness(kind, degree):
-    rule = quadrature(kind)
-    x = rule.points[:, 0]
-    y = rule.points[:, 1]
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            approx = float((rule.weights * x ** a * y ** b).sum())
+def _monomial(a, b):
+    return lambda p: p[:, 0] ** a * p[:, 1] ** b
+
+
+def test_triangle_rule_polynomial_exactness():
+    verts, tris = reference_triangle()
+    for a in range(3):
+        for b in range(3 - a):
+            approx = phase_integrals(verts, tris, [0], [_monomial(a, b)])[0]
             assert approx == pytest.approx(_ref_integral(a, b), abs=1e-15)
+    # on a mapped triangle: int x_a x_b = |T|/12 (sum_i x_ai x_bi
+    # + sum_i x_ai sum_i x_bi)
+    verts = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.7]])
+    area = tri_geometry(verts, tris)[0][0]
+    for a, b in ((1, 1), (2, 0), (0, 2)):
+        xa = verts[:, 0] if a else verts[:, 1]
+        xb = verts[:, 1] if b else verts[:, 0]
+        exact = area / 12.0 * (xa.dot(xb) + xa.sum() * xb.sum())
+        approx = phase_integrals(verts, tris, [0], [_monomial(a, b)])[0]
+        assert approx == pytest.approx(exact, rel=1e-14)
 
 
 @pytest.mark.parametrize("k,degree", [(2, 3), (4, 7), (8, 15)])
 def test_edge_rule_polynomial_exactness(k, degree):
-    rule = quadrature("edge-gauss-%d" % k)
-    t = rule.points[:, 0]
+    pts, wts = edge_quadrature_points(np.array([[0.0, 0.0], [1.0, 0.0]]),
+                                      [[0, 1]], k)
+    t = pts[0, :, 0]
     for a in range(degree + 1):
-        approx = float((rule.weights * t ** a).sum())
+        approx = float((wts[0] * t ** a).sum())
         assert approx == pytest.approx(1.0 / (a + 1), rel=1e-14)
 
 
 def test_mapped_quadrature_measures():
     verts, tris = reference_triangle()
-    pts, wts = map_triangle_quadrature(verts, tris, quadrature("triangle-3pt"))
-    assert wts.sum() == pytest.approx(0.5, abs=1e-15)
+    assert phase_integrals(verts, tris, [0], [_uniform(1.0)])[0] == (
+        pytest.approx(0.5, abs=1e-15))
     areas, grads = tri_geometry(verts, tris)
     assert areas[0] == pytest.approx(0.5, abs=1e-16)
     # hat gradients of the reference triangle
@@ -223,12 +233,11 @@ def _uniform(value):
 
 def test_interface_load_total_length(fluid_template):
     cell, _, _ = fluid_template
-    rule = quadrature("edge-gauss-4")
     b = assemble_interface_load(cell.vertices, cell.interface_edges,
-                                _uniform(1.0), rule)
+                                _uniform(1.0))
     assert b.sum() == pytest.approx(cell.interface_length, abs=1e-12)
     b5 = assemble_interface_load(cell.vertices, cell.interface_edges,
-                                 _uniform(5.0), rule)
+                                 _uniform(5.0))
     assert b5.sum() == pytest.approx(5.0 * cell.interface_length, abs=1e-12)
 
 
@@ -238,8 +247,7 @@ def test_interface_load_linear_density_exact(fluid_template):
     def density(p):
         return p[:, 0]
 
-    b = assemble_interface_load(cell.vertices, cell.interface_edges, density,
-                                quadrature("edge-gauss-4"))
+    b = assemble_interface_load(cell.vertices, cell.interface_edges, density)
     # by symmetry the centroid of the polygon boundary is the center
     assert b.sum() == pytest.approx(0.5 * cell.interface_length, abs=1e-12)
 
@@ -248,14 +256,12 @@ def test_interface_load_zero_length_edge():
     verts = np.array([[0.0, 0.0], [0.0, 0.0]])
     edges = np.array([[0, 1]])
     with pytest.raises(AssemblyError):
-        assemble_interface_load(verts, edges, _uniform(1.0),
-                                quadrature("edge-gauss-4"))
+        assemble_interface_load(verts, edges, _uniform(1.0))
 
 
 def test_edge_quadrature_points(fluid_template):
     cell, _, _ = fluid_template
-    pts, wts = edge_quadrature_points(cell.vertices, cell.interface_edges,
-                                      quadrature("edge-gauss-2"))
+    pts, wts = edge_quadrature_points(cell.vertices, cell.interface_edges, 2)
     assert wts.sum() == pytest.approx(cell.interface_length, abs=1e-12)
     # all quadrature points lie near the inscribed circle
     r = np.linalg.norm(pts.reshape(-1, 2) - 0.5, axis=1)

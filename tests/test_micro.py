@@ -93,6 +93,13 @@ def test_params_validation():
         PnpParams(dt=0.03, t_final=0.2).n_steps()
 
 
+@pytest.mark.parametrize("n_outputs", [0, -2])
+def test_nonpositive_n_outputs_rejected(n_outputs):
+    # a run would clamp it to one interval while the config records it
+    with pytest.raises(ValueError, match="n_outputs"):
+        PnpParams(n_outputs=n_outputs)
+
+
 # ---------------------------------------------------------------------------
 # initial condition and Poisson
 
