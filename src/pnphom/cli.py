@@ -27,7 +27,7 @@ from .config import ConfigError, load_config, write_config
 from .effective import OmegaGridError, compute_effective
 from .geometry import build_template_cell, dump_mesh, tile_domain
 from .macro import MacroProblem, equilibrium_residual, macro_mesh
-from .micro import MicroProblem, MicroRunError, write_snapshot
+from .micro import FineDomain, MicroProblem, MicroRunError, write_snapshot
 from .randomfield import sample_omega
 from .sweep import emit_plotdata, run_sweep, write_summary
 from .twoscale import bundled_suite, convergence_table
@@ -76,10 +76,10 @@ def build_parser():
     p = subs.add_parser("sweep", help="fine-vs-limit error sweep")
     _add_common(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent runs; faster "
-                        "only when OMP_NUM_THREADS, OPENBLAS_NUM_THREADS "
-                        "and MKL_NUM_THREADS are set to 1, no gain at "
-                        "default BLAS threading")
+                   help="worker threads for independent runs, >= 1; "
+                        "fastest when OMP_NUM_THREADS, "
+                        "OPENBLAS_NUM_THREADS and MKL_NUM_THREADS are "
+                        "set to 1")
     return parser
 
 
@@ -147,9 +147,10 @@ def cmd_micro(args):
     failures = 0
     for n in cfg.eps_list:
         mesh = tile_domain(template, n)
+        domain = FineDomain(mesh, cfg.pnp)
         for i in range(cfg.n_omega_samples):
             omega = sample_omega(cfg.seed + i).omega
-            problem = MicroProblem(mesh, cfg.pnp, cfg.fields, omega)
+            problem = MicroProblem(domain, cfg.pnp, cfg.fields, omega)
             tag = "%s_omega_%d" % (_eps_tag(n), i)
             try:
                 snapshots, ledger = problem.run(cfg.initial)
@@ -215,9 +216,11 @@ def cmd_macro(args):
 
 
 def cmd_sweep(args):
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1, got %d" % args.threads)
     cfg = _prepare(args)
     try:
-        report, timings = run_sweep(cfg, threads=max(1, args.threads))
+        report, timings = run_sweep(cfg, threads=args.threads)
     except MicroRunError as exc:
         # fine-run failures are reported per row; this one is the limit model
         log.error("limit model failed: %s", exc)

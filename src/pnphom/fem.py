@@ -3,11 +3,13 @@
 The edge-midpoint triangle rule, in the per-triangle integrals of a
 phase-split density, and the Gauss-Legendre edge rules; vectorized assembly
 of stiffness matrices from such integrals or from a constant tensor and of
-mass matrices (as canonical scipy CSR matrices), of drift matrices on a
-fixed mesh pattern and of interface-trace loads; the sparse LU and the
-bordered LU of a problem whose kernel is the constants; CG through
-``scipy.sparse.linalg`` with an iteration count; and a damped Newton
-iteration for the nonlinear interface term.
+mass matrices (as canonical scipy CSR matrices) and of interface-trace
+loads; the fixed CSR pattern of a mesh with its drift operator, whose
+product with a potential is the data of the drift matrix, and the upwind
+Laplacian on it; the sparse LU and the bordered LU of a problem whose
+kernel is the constants; CG through ``scipy.sparse.linalg`` with an
+iteration count; and a damped Newton iteration for the nonlinear interface
+term.
 """
 
 import math
@@ -201,28 +203,28 @@ def tri_gradient(vertices, triangles, values):
 
 
 class MeshPattern:
-    """Fixed CSR pattern of the P1 vertex graph of a triangle mesh.
+    """Fixed CSR pattern of the P1 vertex graph of a triangle mesh, and the
+    drift operator on it.
 
-    Built once per mesh: the triangle areas and P1 basis gradients, the
-    CSR ``indices``/``indptr`` of every vertex pair sharing a triangle,
-    and ``slots``, the data slot of each of the 9 nt local entries
-    (t, i, j) in row-major order, so an element matrix is summed onto the
-    pattern by one ``np.bincount``.  The pattern comes from the triangles,
-    not from an assembled matrix: a stiffness matrix on right-angle
-    triangles has structural zeros that a drift matrix fills.
+    Built once per mesh: the CSR ``indices``/``indptr`` of every vertex pair
+    sharing a triangle, and ``drift``, the sparse (nnz, n) matrix T whose
+    product T @ phi is the data of the drift matrix of the velocity
+    v = B grad(phi), with B = ``drift_map`` (a (2, 2) tensor, or None for
+    the identity).  The pattern comes from the triangles, not from an
+    assembled matrix: a stiffness matrix on right-angle triangles has
+    structural zeros that a drift matrix fills.
     """
 
-    def __init__(self, vertices, triangles):
+    def __init__(self, vertices, triangles, drift_map):
         triangles = np.asarray(triangles)
         if triangles.shape[0] == 0:
             raise AssemblyError("empty region")
         n = vertices.shape[0]
         self.n = n
-        self.triangles = triangles
-        self.areas, self.grads = tri_geometry(vertices, triangles)
         rows = np.repeat(triangles, 3, axis=1).ravel().astype(np.int64)
         cols = np.tile(triangles, (1, 3)).ravel().astype(np.int64)
-        keys, self.slots = np.unique(rows * n + cols, return_inverse=True)
+        # slots: the data slot of each of the 9 nt local entries (t, i, j)
+        keys, slots = np.unique(rows * n + cols, return_inverse=True)
         self.rows, cols = np.divmod(keys, n)
         self.nnz = keys.shape[0]
         self.indices = cols.astype(np.int32)
@@ -230,15 +232,30 @@ class MeshPattern:
             np.int32)
         self.transpose_slots = np.searchsorted(keys, cols * n + self.rows)
         self.diagonal_slots = np.flatnonzero(self.rows == cols)
+        # freed before the drift operator's arrays are allocated
+        del rows, cols, keys
+        # K_local[t, i, j] = int_T hat_j (v . grad hat_i) = (area/3) g_i . v,
+        # the same for every j, with v = sum_k phi_k B g_k.  So T = S C: row
+        # (t, i) of C holds (area/3) g_i^T B g_k at column triangles[t, k],
+        # and S sums row (t, i) onto the slots of (t, i, j) for each j
+        areas, grads = tri_geometry(vertices, triangles)
+        bgrads = grads if drift_map is None else grads @ np.asarray(
+            drift_map, dtype=float).T
+        local = (np.einsum("tid,tkd->tik", grads, bgrads)
+                 * (areas / 3.0)[:, None, None])
+        nt = triangles.shape[0]
+        triples = np.arange(0, 9 * nt + 1, 3, dtype=np.int32)
+        C = sp.csr_matrix((local.ravel(), np.tile(triangles, (1, 3)).ravel()
+                           .astype(np.int32), triples), shape=(3 * nt, n))
+        S = sp.csr_matrix((np.ones(9 * nt), slots.astype(np.int32), triples),
+                          shape=(3 * nt, self.nnz)).T.tocsr()
+        self.drift = S @ C
+        self.drift.sort_indices()
 
     def matrix(self, data):
         """CSR matrix with the given data on this pattern (no copy)."""
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
-
-    def gradient(self, values):
-        """Piecewise-constant gradient of a P1 field, shape (nt, 2)."""
-        return np.einsum("tid,ti->td", self.grads, values[self.triangles])
 
     def upwind_laplacian(self, data):
         """Artificial-diffusion stabilizer of a drift matrix on the pattern.
@@ -256,25 +273,20 @@ class MeshPattern:
         return lap
 
 
-def assemble_drift(pattern, cell_velocity):
-    """Assemble the P1 drift matrix K_ij = int hat_j (v . grad hat_i) dx.
+def assemble_drift(pattern, potential):
+    """Assemble the P1 drift matrix K_ij = int hat_j (v . grad hat_i) dx of
+    the velocity v = B grad(potential), B the pattern's drift map.
 
-    Fills the data of a CSR matrix on ``pattern`` (a MeshPattern).
-    cell_velocity is a (nt, 2) array, constant per triangle (typically the
-    gradient of a P1 potential).  The local matrix has identical columns,
-    so every column of K sums to zero up to rounding: adding K to a
-    diffusion operator never changes the total mass of the transported
-    species.
+    Fills the data of a CSR matrix on ``pattern`` (a MeshPattern) by one
+    product with its drift operator; potential holds one value per vertex
+    of the pattern.  The local matrix has identical columns, so every
+    column of K sums to zero up to rounding: adding K to a diffusion
+    operator never changes the total mass of the transported species.
     """
-    v = np.asarray(cell_velocity, dtype=float)
-    if v.shape != (pattern.triangles.shape[0], 2):
-        raise AssemblyError("cell_velocity must be (nt, 2)")
-    # int_T hat_j dx = area/3 for each j, so K_local[i, j] = (area/3) g_i.v
-    gi_v = (np.einsum("tid,td->ti", pattern.grads, v)
-            * (pattern.areas / 3.0)[:, None])
-    local = np.repeat(gi_v, 3, axis=1)  # (t, 3i + j) -> gi_v[t, i]
-    return pattern.matrix(np.bincount(pattern.slots, weights=local.ravel(),
-                                      minlength=pattern.nnz))
+    potential = np.asarray(potential, dtype=float)
+    if potential.shape != (pattern.n,):
+        raise AssemblyError("potential must have one value per vertex")
+    return pattern.matrix(pattern.drift @ potential)
 
 
 def assemble_interface_load(vertices, edges, density):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fem import assemble_mass, assemble_stiffness
 from .geometry import UnitCellSpec, build_template_cell
-from .micro import _Transport
+from .micro import _SpeciesOperators, _Transport
 
 
 def macro_mesh(resolution=96):
@@ -45,10 +45,11 @@ class MacroProblem(_Transport):
         t = mesh.triangles
         self.M_charge = assemble_mass(v, t)
         mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
-        self._setup(params, gamma, v, t, np.arange(v.shape[0]),
-                    eff.theta * mass_vec,
-                    assemble_stiffness(v, t, coefficient=eff.A_hom),
-                    np.asarray(eff.B_hom),
+        species = _SpeciesOperators(
+            params, v, t, np.arange(v.shape[0]), eff.theta * mass_vec,
+            assemble_stiffness(v, t, coefficient=eff.A_hom),
+            np.asarray(eff.B_hom))
+        self._setup(params, gamma, species,
                     assemble_stiffness(v, t, coefficient=eff.theta_eff),
                     (eff.s_bar, mass_vec))
 

@@ -9,19 +9,24 @@ relation kappa(u) = -eta * gamma(u) through a scaled surface term.
 
 Discretization: P1 elements, lumped mass in the time derivative, backward
 Euler in increment form, Gummel (Picard) iteration inside each step.  Each
-iterate takes one back-substitution per species with the LU of
-W/dt + D A, the drift acting on the previous iterate, then one Poisson
-solve; the fixed point is the backward Euler step.  Mass and the scaled
-surface charge functional are conserved to solver precision at every
-iterate because every transport operator has zero column sums up to
-rounding; the conservation ledger records both at every step together with
-the discrete weak-form charge identity.
+iterate fills the drift of the previous iterate's potential by one sparse
+product, takes one back-substitution per LU of W/dt + D A with the species
+that share it as its columns (one two-column solve when D_plus ==
+D_minus), then one Poisson solve; the fixed point is the backward Euler
+step.  Mass and the scaled surface charge functional are conserved to
+solver precision at every iterate because every transport operator has
+zero column sums up to rounding; the conservation ledger records both at
+every step together with the discrete weak-form charge identity.
 
-The stepper (``_Transport``) takes its operators from the caller: lumped
-mass weights, species stiffness, drift velocity map, Poisson operator,
-surface weights and the charge right-hand side.  ``MicroProblem`` assembles
-them on the perforated mesh; ``macro.MacroProblem`` assembles the limit
-model's on the unperforated one.
+The stepper (``_Transport``) takes its operators from the caller: the
+species operators (``_SpeciesOperators``: lumped mass weights, species
+stiffness, the drift pattern of a velocity map and the species LUs), the
+Poisson operator, the surface weights and the charge right-hand side.  A
+``FineDomain`` holds the fine problem's sample-independent part (the tiled
+mesh, its fluid submesh, fluid stiffness and mass, species operators),
+built once per eps; ``MicroProblem`` adds the sample's dielectric
+stiffness, surface weights and Poisson LU.  ``macro.MacroProblem``
+assembles the limit model's operators on the unperforated mesh.
 
 All boundary conditions are natural (insulated system): no exterior flux
 for the species, no exterior displacement flux for the potential.
@@ -235,41 +240,75 @@ class MicroRunError(RuntimeError):
         self.snapshots = snapshots
 
 
+class _SpeciesOperators:
+    """The species side of a transport problem, for one dt, D_plus and
+    D_minus: the species mesh, lumped mass weights, stiffness, the drift
+    pattern and its operator, and the LUs of diag(weights)/dt + D A.
+
+    ``groups`` pairs each LU with the species that share it, one LU per
+    distinct diffusion coefficient, so one back-substitution takes every
+    species of a group as its columns.  Built once and only read by the
+    runs that share it.
+
+    vertices, triangles : mesh of the species; ids maps its vertices to the
+        potential's numbering
+    weights : lumped mass weights of the time derivative and the masses
+    A : species stiffness, scaled per species by D
+    drift_map : (2, 2) tensor applied to grad(potential) to give the drift
+        velocity, or None for the identity
+    """
+
+    def __init__(self, params, vertices, triangles, ids, weights, A,
+                 drift_map):
+        self.built_for = (params.dt, params.D_plus, params.D_minus)
+        self.vertices = vertices
+        self.ids = ids
+        self.weights = weights
+        self.A = A
+        # before the LUs, so that the drift operator's transients are freed
+        # before the factors are allocated
+        self.pattern = MeshPattern(vertices, triangles, drift_map)
+        dtm = sp.diags(weights).tocsr() / params.dt
+        by_D = {}
+        for s, D in ((+1, params.D_plus), (-1, params.D_minus)):
+            by_D.setdefault(D, []).append(s)
+        self.groups = [(_splu(dtm + D * A).solve, tuple(group))
+                       for D, group in by_D.items()]
+
+
 class _Transport:
     """Nernst-Planck transport coupled to a Poisson equation with a surface
     term, stepped by backward Euler with Gummel coupling.
 
     This is the one stepper of the fine and the limit solver.  A subclass
-    sets ``omega`` (the sample its states carry, or None), assembles its
-    operators, passes them to ``_setup`` and defines ``charge_rhs(state)``,
-    the right-hand side of the Poisson equation.
-    The factorizations, the Poisson branches (direct LU, a bordered LU that
-    fixes the mean of a problem without surface term, Newton for a
-    nonlinear surface term),
-    the Gummel loop, the snapshot grid and the ledger are shared.
+    sets ``omega`` (the sample its states carry, or None), passes its
+    species operators (``_SpeciesOperators``), Poisson operator and surface
+    weights to ``_setup`` and defines ``charge_rhs(state)``, the right-hand
+    side of the Poisson equation.  The Poisson factorization and branches
+    (direct LU, a bordered LU that fixes the mean of a problem without
+    surface term, Newton for a nonlinear surface term), the Gummel loop with
+    its drift fill and grouped species back-substitutions, the snapshot
+    grid and the ledger are shared.
     """
 
-    def _setup(self, params, gamma, vertices, triangles, ids, weights,
-               A_species, drift_map, A_poisson, surface):
-        """Store the operators and build the factorizations of the run.
+    def _setup(self, params, gamma, species, A_poisson, surface):
+        """Store the operators and build the Poisson factorization of the
+        run.
 
-        vertices, triangles : mesh of the species; ids maps its vertices
-            to the potential's numbering
-        weights : lumped mass weights of the time derivative and the masses
-        A_species : species stiffness, scaled per species by D
-        drift_map : (2, 2) tensor applied to grad(potential) to give the
-            drift velocity, or None for the identity
+        species : _SpeciesOperators built for params' dt, D_plus and D_minus
         A_poisson : Poisson operator on the potential's vertices
         surface : (scale, vec); the Poisson equation carries the surface
             term w * gamma(potential) with weights w = scale * vec
         """
         params.validate()
+        built = (params.dt, params.D_plus, params.D_minus)
+        if species.built_for != built:
+            raise ValueError(
+                "species operators built for (dt, D_plus, D_minus) = %r, "
+                "not %r" % (species.built_for, built))
         self.params = params
         self.gamma = gamma
-        self._species_mesh = (vertices, triangles, ids)
-        self.weights = weights
-        self._A_species = A_species
-        self._drift_map = drift_map
+        self._species = species
         self._A_poisson = A_poisson
         self._surface = surface
         scale, vec = surface
@@ -287,22 +326,11 @@ class _Transport:
         else:
             slope = gamma.derivative(0.0)
             self._poisson_prec = _splu(A + sp.diags(scale * slope * vec)).solve
-        # the drift is filled into the fixed pattern of the species mesh; the
-        # species matrices diag(weights)/dt + D A_species get one LU per
-        # distinct D
-        self._pattern = MeshPattern(vertices, triangles)
-        dtm = sp.diags(weights).tocsr() / params.dt
-        self._species_lu = {}
-        lus = {}
-        for s, D in ((+1, params.D_plus), (-1, params.D_minus)):
-            if D not in lus:
-                lus[D] = _splu(dtm + D * A_species).solve
-            self._species_lu[s] = lus[D]
 
     # -- quantities -------------------------------------------------------
 
     def mass(self, conc):
-        return float(self.weights.dot(conc))
+        return float(self._species.weights.dot(conc))
 
     def pi_eps(self, state):
         """Surface functional -int w gamma(potential), the negated right
@@ -327,7 +355,7 @@ class _Transport:
         species vertices.  Negative initial data is rejected.  The potential
         is solved once so the state starts consistent.
         """
-        vertices = self._species_mesh[0]
+        vertices = self._species.vertices
         n = vertices.shape[0]
         vals = []
         for entry in spec:
@@ -374,40 +402,43 @@ class _Transport:
     def step_nernst_planck(self, state):
         """Advance one backward Euler step with Gummel coupling.
 
-        Each iterate updates the species by one back-substitution per
-        species with the drift acting on the previous iterate,
-        (W/dt + D A) (u_k+1 - u_old) = -D A u_old - K(phi_k) u_k, and then
-        solves the Poisson equation; the fixed point is the backward Euler
-        step.  Returns the number of Gummel iterations used.  Raises
-        ConvergenceFailure when an iterate is not finite or the coupling
-        does not settle within gummel_max iterations.
+        Each iterate fills the drift of the previous iterate's potential,
+        K(phi_k), updates the species by
+        (W/dt + D A) (u_k+1 - u_old) = -D A u_old - K(phi_k) u_k, with one
+        back-substitution per species LU whose columns are the species
+        sharing it, and then solves the Poisson equation; the fixed point is
+        the backward Euler step.  Returns the number of Gummel iterations
+        used.  Raises ConvergenceFailure when an iterate is not finite or
+        the coupling does not settle within gummel_max iterations.
         """
         p = self.params
-        pattern = self._pattern
-        ids = self._species_mesh[2]
+        species = self._species
+        pattern = species.pattern
+        D = {+1: p.D_plus, -1: p.D_minus}
+        z = {+1: p.z_plus, -1: p.z_minus}
         u_old = {+1: state.conc_plus, -1: state.conc_minus}
-        diffusion = {+1: -p.D_plus * (self._A_species @ u_old[+1]),
-                     -1: -p.D_minus * (self._A_species @ u_old[-1])}
+        diffusion = {s: -D[s] * (species.A @ u_old[s]) for s in (+1, -1)}
         u_new = dict(u_old)
+
+        def transport_rhs(s, K):
+            kd = (s * D[s] * p.c * z[s]) * K
+            if p.upwind:
+                kd = kd + pattern.upwind_laplacian(kd)
+            return diffusion[s] - pattern.matrix(kd) @ u_new[s]
+
         change = math.inf
         for it in range(1, p.gummel_max + 1):
-            velocity = pattern.gradient(state.potential[ids])
-            if self._drift_map is not None:
-                velocity = velocity.dot(self._drift_map.T)
             # one drift fill for both species: they differ by a factor
-            K = assemble_drift(pattern, velocity).data
+            K = assemble_drift(pattern, state.potential[species.ids]).data
             changes = []
-            for s in (+1, -1):
-                D = p.D_plus if s > 0 else p.D_minus
-                z = p.z_plus if s > 0 else p.z_minus
-                kd = (s * D * p.c * z) * K
-                if p.upwind:
-                    kd = kd + pattern.upwind_laplacian(kd)
-                u = u_old[s] + self._species_lu[s](
-                    diffusion[s] - pattern.matrix(kd) @ u_new[s])
-                scale = max(float(np.abs(u).max()), 1.0)
-                changes.append(float(np.abs(u - u_new[s]).max()) / scale)
-                u_new[s] = u
+            for solve, group in species.groups:
+                steps = solve(np.column_stack([transport_rhs(s, K)
+                                               for s in group]))
+                for s, step in zip(group, steps.T):
+                    u = u_old[s] + step
+                    scale = max(float(np.abs(u).max()), 1.0)
+                    changes.append(float(np.abs(u - u_new[s]).max()) / scale)
+                    u_new[s] = u
             # np.max, unlike max, propagates a NaN
             change = float(np.max(changes))
             if not math.isfinite(change):
@@ -453,23 +484,53 @@ class _Transport:
         return snapshots, ledger
 
 
+class FineDomain:
+    """The part of a fine problem that does not depend on the sample.
+
+    The tiled mesh, its fluid submesh, the fluid stiffness ``A_fluid``, the
+    charge mass ``M_charge`` and its lumped weights ``mass_vec``, and the
+    species operators (drift pattern and operator, species LUs) for the
+    given params' dt, D_plus and D_minus.  Built once per eps and only read
+    by the runs that share it.
+    """
+
+    def __init__(self, mesh, params):
+        self.mesh = mesh
+        self.fluid_ids, self.fluid_tris, _ = mesh.fluid_submesh()
+        self.fluid_vertices = mesh.vertices[self.fluid_ids]
+        self.A_fluid = assemble_stiffness(self.fluid_vertices, self.fluid_tris)
+        self.M_charge = assemble_mass(self.fluid_vertices, self.fluid_tris)
+        self.mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
+        self.species = _SpeciesOperators(
+            params, self.fluid_vertices, self.fluid_tris, self.fluid_ids,
+            self.mass_vec, self.A_fluid, None)
+
+
 class MicroProblem(_Transport):
     """Assembled fine-scale problem for one (mesh, params, fields, omega).
 
-    Matrices that do not change over the run (dielectric stiffness, surface
-    weights, fluid diffusion and mass) are built once; the drift matrix is
-    refilled on the fixed mesh pattern at every Gummel iterate from the
-    current potential.
+    ``mesh`` is a FineDomain, shared by the runs of one eps, or a tiled mesh,
+    which gets a FineDomain of its own.  A domain built for another dt,
+    D_plus or D_minus raises ValueError.  Only the dielectric stiffness,
+    the surface weights and the Poisson factorization depend on omega and
+    are built here; the drift matrix is refilled on the domain's pattern at
+    every Gummel iterate from the current potential.
     """
 
     def __init__(self, mesh, params, fields, omega):
+        domain = mesh if isinstance(mesh, FineDomain) else FineDomain(
+            mesh, params)
+        mesh = domain.mesh
         self.mesh = mesh
         self.fields = fields
         self.omega = np.asarray(omega, dtype=float)
         self.eps = mesh.epsilon
-
-        self.fluid_ids, self.fluid_tris, _ = mesh.fluid_submesh()
-        self.fluid_vertices = mesh.vertices[self.fluid_ids]
+        self.fluid_ids = domain.fluid_ids
+        self.fluid_tris = domain.fluid_tris
+        self.fluid_vertices = domain.fluid_vertices
+        self.A_fluid = domain.A_fluid
+        self.M_charge = domain.M_charge
+        self.mass_vec = domain.mass_vec
         self.nv_global = mesh.vertices.shape[0]
 
         # the fields at (T(x/eps) omega, x/eps^2); rho_f on phase 0 (fluid),
@@ -483,13 +544,7 @@ class MicroProblem(_Transport):
         self.surface_w = assemble_interface_load(
             mesh.vertices, mesh.interface_edges,
             partial(eval_field_eps, fields.eta, omega, eps=eps))
-
-        self.A_fluid = assemble_stiffness(self.fluid_vertices, self.fluid_tris)
-        self.M_charge = assemble_mass(self.fluid_vertices, self.fluid_tris)
-        self.mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
-        self._setup(params, fields.gamma, self.fluid_vertices,
-                    self.fluid_tris, self.fluid_ids, self.mass_vec,
-                    self.A_fluid, None, self.A_theta,
+        self._setup(params, fields.gamma, domain.species, self.A_theta,
                     (self.eps, self.surface_w))
 
     # bound in the class body so that profilers walking vars(MicroProblem),

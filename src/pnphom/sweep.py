@@ -12,7 +12,9 @@ import json
 import logging
 import math
 import os
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 from .effective import compute_effective
 from .geometry import build_template_cell, tile_domain
 from .macro import MacroProblem, equilibrium_residual, macro_mesh
-from .micro import MicroProblem, MicroRunError
+from .micro import FineDomain, MicroProblem, MicroRunError
 from .randomfield import sample_omega
 
 log = logging.getLogger("pnphom.sweep")
@@ -187,8 +189,37 @@ def compare_trajectories(problem, snapshots, reference):
     return final, spacetime
 
 
-def _micro_run_row(template, config, reference, n, omega_index):
-    """One fine run; returns a report row dict.
+class _SweepDomains:
+    """The FineDomain of each eps of a sweep, built by the first run of that
+    eps and dropped when its last run has taken it, so that one eps's
+    operators are released before the next eps's are built.
+
+    ns holds the n of every run.  A build takes the lock of its eps, so the
+    runs of a thread pool wait for one build and then share it.
+    """
+
+    def __init__(self, template, params, ns):
+        self._template = template
+        self._params = params
+        self._pending = Counter(ns)
+        self._built = {}
+        self._locks = {n: threading.Lock() for n in self._pending}
+
+    def take(self, n):
+        with self._locks[n]:
+            domain = self._built.pop(n, None)
+            if domain is None:
+                domain = FineDomain(tile_domain(self._template, n),
+                                    self._params)
+            self._pending[n] -= 1
+            if self._pending[n] > 0:
+                self._built[n] = domain
+        return domain
+
+
+def _micro_run_row(domains, config, reference, n, omega_index):
+    """One fine run on the FineDomain that domains (a _SweepDomains) holds
+    for eps = 1/n; returns a report row dict.
 
     The row's equilibrium_residual is the ledger's largest pinned charge
     residual (``ConservationLedger.pinned_charge_residuals``).  Its
@@ -202,8 +233,8 @@ def _micro_run_row(template, config, reference, n, omega_index):
         row.setdefault(name, float("nan"))
     try:
         omega = sample_omega(config.seed + omega_index).omega
-        mesh = tile_domain(template, n)
-        problem = MicroProblem(mesh, params, config.fields, omega)
+        problem = MicroProblem(domains.take(n), params, config.fields,
+                               omega)
         snapshots, ledger = problem.run(config.initial)
         final, spacetime = compare_trajectories(problem, snapshots,
                                                 reference)
@@ -226,7 +257,9 @@ def run_sweep(config, threads=1):
 
     Returns (report, timings).  The report holds no wall-clock value, so
     reruns are byte-identical; timings maps 'eps_1_<n>' to the wall-clock
-    seconds of each run at that eps, in omega order.
+    seconds of each run at that eps, in omega order.  The first run of an
+    eps to start builds the FineDomain that all of that eps's runs share,
+    and its seconds include the build.
     """
     template = build_template_cell(config.geometry)
     eff = compute_effective(template, config.fields, K=config.K)
@@ -239,13 +272,14 @@ def run_sweep(config, threads=1):
 
     jobs = [(n, i) for n in config.eps_list
             for i in range(config.n_omega_samples)]
+    domains = _SweepDomains(template, config.pnp, [n for n, _ in jobs])
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(
-                lambda job: _micro_run_row(template, config, reference,
+                lambda job: _micro_run_row(domains, config, reference,
                                            job[0], job[1]), jobs))
     else:
-        rows = [_micro_run_row(template, config, reference, n, i)
+        rows = [_micro_run_row(domains, config, reference, n, i)
                 for n, i in jobs]
     rows.sort(key=lambda r: (-r["eps"], r["omega_index"]))
 

@@ -162,6 +162,17 @@ def test_sweep_command(small_cfg, tmp_path, capsys):
     assert "macro equilibrium residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_nonpositive_threads_exits_2(small_cfg, tmp_path, capsys,
+                                           threads):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["sweep", "--config", small_cfg,
+                 "--out", str(tmp_path / "o"), "--threads", threads])
+    assert err.value.code == 2
+    assert ("config error: --threads must be >= 1, got %s" % threads
+            in capsys.readouterr().err)
+
+
 def test_seed_override(small_cfg, tmp_path):
     out = str(tmp_path / "m")
     rc = run_cli(["mesh", "--config", small_cfg, "--out", out,

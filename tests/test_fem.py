@@ -20,6 +20,7 @@ from pnphom.fem import (
     newton_solve,
     phase_integrals,
     tri_geometry,
+    tri_gradient,
 )
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 
@@ -276,7 +277,9 @@ def test_edge_quadrature_points(fluid_template):
 @pytest.fixture(scope="module", params=["tiled", "right-angle"])
 def drift_mesh(request):
     # a tiled perforated fluid mesh, and a right-angle square mesh whose
-    # stiffness has structural zeros the drift pattern must still hold
+    # stiffness has structural zeros the drift pattern must still hold; a
+    # smooth potential, whose drift entries have the size of those of a
+    # standard normal velocity per triangle
     if request.param == "tiled":
         mesh = tile_domain(build_template_cell(UnitCellSpec(
             n_interface_segments=32, target_edge_length=1.0 / 8)), 2)
@@ -286,8 +289,9 @@ def drift_mesh(request):
         cell = build_template_cell(
             UnitCellSpec(inclusion_radius=0.0, target_edge_length=1.0 / 8))
         verts, tris = cell.vertices, cell.triangles
-    velocity = np.random.default_rng(7).standard_normal((len(tris), 2))
-    return verts, tris, velocity
+    x, y = verts.T
+    potential = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * x
+    return verts, tris, potential
 
 
 def _dense_drift(verts, tris, velocity):
@@ -315,10 +319,10 @@ def _dense_upwind(K):
 
 
 def test_drift_fill_matches_element_formula(drift_mesh):
-    verts, tris, velocity = drift_mesh
-    pattern = MeshPattern(verts, tris)
-    K = assemble_drift(pattern, velocity)
-    dense = _dense_drift(verts, tris, velocity)
+    verts, tris, potential = drift_mesh
+    pattern = MeshPattern(verts, tris, None)
+    K = assemble_drift(pattern, potential)
+    dense = _dense_drift(verts, tris, tri_gradient(verts, tris, potential))
     assert K.nnz == pattern.nnz
     assert np.abs(K.toarray() - dense).max() <= 1e-15
     # zero column sums, to the rounding of the summation
@@ -326,13 +330,27 @@ def test_drift_fill_matches_element_formula(drift_mesh):
     col_abs = np.asarray(abs(K).sum(axis=0)).ravel()
     assert np.all(np.abs(col_sums) <= 1e-14 * col_abs)
     with pytest.raises(AssemblyError):
-        assemble_drift(pattern, velocity[1:])
+        assemble_drift(pattern, potential[1:])
+
+
+def test_drift_map_orientation(drift_mesh):
+    # the drift velocity is B grad(phi); B is not symmetric, so the
+    # transposed map fills a different matrix
+    verts, tris, potential = drift_mesh
+    B = np.array([[1.0, 0.7], [-0.3, 2.0]])
+    velocity = tri_gradient(verts, tris, potential) @ B.T
+    dense = _dense_drift(verts, tris, velocity)
+    scale = np.abs(dense).max()
+    K = assemble_drift(MeshPattern(verts, tris, B), potential).toarray()
+    assert np.abs(K - dense).max() <= 1e-14 * scale
+    K_T = assemble_drift(MeshPattern(verts, tris, B.T), potential).toarray()
+    assert np.abs(K_T - dense).max() >= 0.1 * scale
 
 
 def test_upwind_laplacian_on_pattern(drift_mesh):
-    verts, tris, velocity = drift_mesh
-    pattern = MeshPattern(verts, tris)
-    K = assemble_drift(pattern, velocity)
+    verts, tris, potential = drift_mesh
+    pattern = MeshPattern(verts, tris, None)
+    K = assemble_drift(pattern, potential)
     L = pattern.matrix(pattern.upwind_laplacian(K.data)).toarray()
     assert np.abs(L - _dense_upwind(K)).max() <= 1e-15
     assert np.abs(L.sum(axis=0)).max() <= 1e-15

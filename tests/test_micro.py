@@ -17,6 +17,7 @@ from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 from pnphom.macro import MacroProblem, equilibrium_residual, macro_mesh
 from pnphom.micro import (
     ConservationLedger,
+    FineDomain,
     MicroCoefficients,
     MicroProblem,
     MicroRunError,
@@ -259,9 +260,8 @@ def test_step_matches_backward_euler_oracle(coarse_mesh):
     state = prob.initial_condition((bump, 0.9))
     u_old = {+1: state.conc_plus.copy(), -1: state.conc_minus.copy()}
     prob.step_nernst_planck(state)
-    pattern = MeshPattern(prob.fluid_vertices, prob.fluid_tris)
-    K = assemble_drift(pattern,
-                       pattern.gradient(state.potential[prob.fluid_ids]))
+    pattern = MeshPattern(prob.fluid_vertices, prob.fluid_tris, None)
+    K = assemble_drift(pattern, state.potential[prob.fluid_ids])
     W = sp.diags(prob.mass_vec) / params.dt
     for s, D, z, u in ((+1, params.D_plus, params.z_plus, state.conc_plus),
                        (-1, params.D_minus, params.z_minus,
@@ -276,15 +276,61 @@ def test_one_back_substitution_per_species_per_iterate(coarse_mesh):
     prob = MicroProblem(coarse_mesh, params, wiggly_fields(),
                         sample_omega(5).omega)
     calls = {+1: 0, -1: 0}
-    for s, solve in list(prob._species_lu.items()):
-        def counting(rhs, s=s, solve=solve):
-            calls[s] += 1
+    groups = prob._species.groups
+    for k, (solve, group) in enumerate(groups):
+        def counting(rhs, group=group, solve=solve):
+            for s in group:
+                calls[s] += 1
             return solve(rhs)
-        prob._species_lu[s] = counting
+        groups[k] = (counting, group)
     snaps, ledger = prob.run((bump, 0.9))
     iters = sum(row["gummel_iters"] for row in ledger.rows)
     assert iters >= params.n_steps()
     assert calls == {+1: iters, -1: iters}
+
+
+def test_one_two_column_back_substitution_when_diffusivities_agree(
+        coarse_mesh):
+    # D_plus == D_minus: one LU, one solve per Gummel iterate with the two
+    # species as its columns, bitwise equal to two one-column solves
+    params = PnpParams(t_final=0.06)
+    prob = MicroProblem(coarse_mesh, params, wiggly_fields(),
+                        sample_omega(5).omega)
+    groups = prob._species.groups
+    [(solve, group)] = groups
+    assert group == (+1, -1)
+    shapes = []
+
+    def recording(rhs):
+        shapes.append(rhs.shape)
+        out = solve(rhs)
+        for k in range(rhs.shape[1]):
+            assert np.array_equal(out[:, k], solve(rhs[:, k].copy()))
+        return out
+
+    groups[0] = (recording, group)
+    snaps, ledger = prob.run((bump, 0.9))
+    iters = sum(row["gummel_iters"] for row in ledger.rows)
+    assert iters >= params.n_steps()
+    assert shapes == [(len(prob.fluid_ids), 2)] * iters
+
+
+def test_fine_domain_is_shared_and_checked(coarse_mesh):
+    # a shared domain gives the runs a plain mesh gives, bit for bit; a
+    # domain built for another D_minus is refused
+    params = PnpParams(t_final=0.04)
+    omega = sample_omega(5).omega
+    domain = FineDomain(coarse_mesh, params)
+    shared = [MicroProblem(domain, params, wiggly_fields(), omega).run(
+        (bump, 0.9))[0][-1] for _ in range(2)]
+    own = MicroProblem(coarse_mesh, params, wiggly_fields(), omega).run(
+        (bump, 0.9))[0][-1]
+    for snap in shared:
+        for name in ("conc_plus", "conc_minus", "potential"):
+            assert np.array_equal(getattr(snap, name), getattr(own, name))
+    with pytest.raises(ValueError, match="D_minus"):
+        MicroProblem(domain, PnpParams(D_minus=0.5, t_final=0.04),
+                     wiggly_fields(), omega)
 
 
 def test_upwind_flag_preserves_mass(coarse_mesh):

@@ -5,13 +5,17 @@ import csv
 import io
 import json
 import pickle
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from pnphom import sweep
 from pnphom.config import load_config
-from pnphom.geometry import UnitCellSpec, build_template_cell
+from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 from pnphom.macro import MacroProblem, macro_mesh
 from pnphom.micro import (
     ConservationLedger,
@@ -199,7 +203,8 @@ def test_micro_run_row_failure_status():
                         GammaFunction("linear", alpha=1.0))
     snaps, ledger = prob.run((1.0, 1.0))
     bad_ref = MacroReference(mesh, snaps[:-1], ledger, cfg.pnp)
-    row = _micro_run_row(template, cfg, bad_ref, 2, 0)
+    row = _micro_run_row(sweep._SweepDomains(template, cfg.pnp, [2]), cfg,
+                         bad_ref, 2, 0)
     assert row["status"] == "failed:ValueError"
     assert np.isnan(row["err_conc_plus"])
     assert row["wall_time"] > 0.0
@@ -224,6 +229,57 @@ def test_diverging_fine_run_is_a_failed_row(monkeypatch):
     assert np.isnan(rows[0]["err_conc_plus"])
     assert np.isfinite(rows[1]["err_conc_plus"])
     assert report.aggregate_rows()[0]["status"] == "mean[1/2]"
+
+
+def test_fine_domain_built_once_per_eps(monkeypatch):
+    # D_plus == D_minus: one species LU per eps, shared by its runs, and
+    # one Poisson LU per run
+    cfg = small_config(eps_list=[2, 3])
+    sizes = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    report, _ = run_sweep(cfg)
+    assert all(r["status"] == "ok" for r in report.data_rows())
+    template = build_template_cell(cfg.geometry)
+    for n in cfg.eps_list:
+        mesh = tile_domain(template, n)
+        n_fluid = len(mesh.fluid_submesh()[0])
+        assert sizes.count(n_fluid) == 1
+        assert sizes.count(mesh.n_vertices) == cfg.n_omega_samples
+
+
+def test_sweep_domains_one_build_per_eps_under_threads(monkeypatch):
+    # more threads than cores, switching often: each eps is built once,
+    # every run of an eps gets the same domain, and none is kept after
+    # its last run
+    builds = []
+
+    def fake_domain(mesh, params):
+        time.sleep(0.01)  # a build releases the interpreter lock
+        builds.append(mesh)
+        return object()
+
+    monkeypatch.setattr(sweep, "tile_domain", lambda template, n: n)
+    monkeypatch.setattr(sweep, "FineDomain", fake_domain)
+    ns = [n for n in (2, 3, 4) for _ in range(40)]
+    domains = sweep._SweepDomains(None, None, ns)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(domains.take, n) for n in ns]
+            taken = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(builds) == [2, 3, 4]
+    for n in (2, 3, 4):
+        assert len({id(d) for d, m in zip(taken, ns) if m == n}) == 1
+    assert domains._built == {}
 
 
 @pytest.fixture(scope="module")
