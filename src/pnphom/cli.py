@@ -49,8 +49,10 @@ def build_parser():
         prog="pnphom",
         description="Homogenization harness for the perforated-domain "
                     "ion-transport model.")
-    parser.add_argument("--log-level", default="INFO",
-                        help="logging level (DEBUG, INFO, WARNING, ...)")
+    parser.add_argument("--log-level", default="INFO", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR",
+                                 "CRITICAL"),
+                        help="logging level, case-insensitive")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("mesh", help="build meshes and report stats")
@@ -257,7 +259,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
-        level=getattr(logging, args.log_level.upper(), logging.INFO),
+        level=getattr(logging, args.log_level),
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return HANDLERS[args.command](args)

@@ -32,7 +32,6 @@ from .fem import (
     assemble_stiffness,
     phase_integrals,
     tri_geometry,
-    tri_gradient,
 )
 from .geometry import FLUID, _periodic_rep
 
@@ -162,7 +161,7 @@ def _solve_cell(kind, vertices, triangles, pair_arrays, csum=None):
         u, resid = operator.solve(
             _scatter(grads[:, :, k] * csum[:, None], triangles, nv))
         _check_residual(kind, resid)
-        flux = tri_gradient(vertices, triangles, u)
+        flux = np.einsum("tid,ti->td", grads, u[triangles])
         flux[:, k] += 1.0
         correctors.append(u)
         residuals.append(resid)
@@ -399,8 +398,10 @@ class DielectricResult:
     """Both dielectric stages with provenance.
 
     mode is 'constant-y' (no fast variation, stage 1 exact), 'frozen-omega'
-    (no sample variation, one stage-1 solve), or 'general' (one stage-1
-    solve per grid element).
+    (no sample variation, one stage-1 solve), or 'general' (sample
+    variation).  stage1_solves counts the distinct stage-1 cell problems:
+    one per distinct pair of rho_f and rho_s w-mode sums over the grid
+    element centers, compared exactly.
     """
 
     def __init__(self, mode, K, theta_star, theta_eff, stage1_residual_max,
@@ -417,10 +418,11 @@ class DielectricResult:
 def solve_dielectric_cells(rho_f, rho_s, template, K=32):
     """Run both dielectric stages on a K x K sample grid.
 
-    Stage 1 solves the fast-scale cell problem at each grid element center
-    (with structural shortcuts when the coefficient has no fast or no
-    sample variation); stage 2 condenses the resulting tensor field over
-    the torus of shifts.
+    Stage 1 solves the fast-scale cell problem at each grid element center,
+    once per distinct frozen coefficient: centers whose w-mode sums are
+    bitwise equal have bitwise-equal cell problems and share one solve.  A
+    coefficient with no fast variation needs no cell problem at all.
+    Stage 2 condenses the resulting tensor field over the torus of shifts.
     """
     K = int(K)
     freq = _max_w_frequency(rho_f, rho_s)
@@ -441,24 +443,23 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
         values = rho_f.y_average(centers.reshape(-1, 2)).reshape(K, K)
         theta_star[:] = values[:, :, None, None] * np.eye(2)
         solves = 0
-    elif not rho_f.w_modes and not rho_s.w_modes:
-        mode = "frozen-omega"
-        sol, tensor = solve_dielectric_single(template, rho_f, rho_s,
-                                              np.zeros(2))
-        theta_star[:] = tensor
-        stage1_resid = max(sol.residuals)
-        solves = 1
     else:
-        mode = "general"
-        log.info("dielectric stage 1: %d cell solves on a %dx%d grid",
-                 K * K, K, K)
+        mode = "general" if rho_f.w_modes or rho_s.w_modes else "frozen-omega"
+        # the coefficient depends on the sample only through the w-mode
+        # sums, so centers with equal sums share one cell problem
+        tensors = {}
         for i in range(K):
             for j in range(K):
-                sol, tensor = solve_dielectric_single(
-                    template, rho_f, rho_s, centers[i, j])
-                theta_star[i, j] = tensor
-                stage1_resid = max(stage1_resid, max(sol.residuals))
-        solves = K * K
+                w = centers[i, j]
+                key = (float(rho_f.w_value(w)), float(rho_s.w_value(w)))
+                if key not in tensors:
+                    sol, tensors[key] = solve_dielectric_single(
+                        template, rho_f, rho_s, w)
+                    stage1_resid = max(stage1_resid, max(sol.residuals))
+                theta_star[i, j] = tensors[key]
+        solves = len(tensors)
+        log.info("dielectric stage 1: %d distinct cell problems for %d "
+                 "samples on a %dx%d grid", solves, K * K, K, K)
 
     _, theta_eff, stage2_resid = q1_periodic_solve(theta_star)
     return DielectricResult(mode, K, theta_star, theta_eff, stage1_resid,

@@ -119,12 +119,18 @@ class CoefficientField:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, omega, y):
-        """Evaluate a(omega, y); both arguments broadcast with last dim 2."""
-        omega = np.asarray(omega, dtype=float)
+        """Evaluate a(omega, y); both arguments broadcast with last dim 2.
+
+        The value depends on omega only through :meth:`w_value`, so two
+        samples with bitwise-equal w-mode sums give bitwise-equal values.
+        """
         y = np.asarray(y, dtype=float)
         val = self.base_value + self._mode_sum(self.y_modes, y)
-        val = val + self._mode_sum(self.w_modes, omega)
-        return val
+        return val + self.w_value(omega)
+
+    def w_value(self, omega):
+        """Sum of the w-modes at omega (last dim 2), the sample part of a."""
+        return self._mode_sum(self.w_modes, np.asarray(omega, dtype=float))
 
     @staticmethod
     def _mode_sum(modes, u):
@@ -143,8 +149,7 @@ class CoefficientField:
 
     def y_average(self, omega):
         """Exact mean over the periodic cell: the y-modes integrate to zero."""
-        omega = np.asarray(omega, dtype=float)
-        return self.base_value + self._mode_sum(self.w_modes, omega)
+        return self.base_value + self.w_value(omega)
 
     def mean_value(self):
         """Exact mean over both arguments (the constant coefficient)."""

@@ -38,6 +38,9 @@ ALLOWED = {
     # the stage-1 tensors per sample, which the acceptance checks compare
     # with the closed forms of a cell-layered coefficient
     "DielectricResult.theta_star",
+    # the P1 gradient that the drift operator and the cell correctors'
+    # fluxes are checked against
+    "tri_gradient",
 }
 
 

@@ -217,6 +217,16 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
+def test_unknown_log_level_exits_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["--log-level", "FOO", "mesh"])
+    assert err.value.code == 2
+    assert "--log-level: invalid choice: 'FOO'" in capsys.readouterr().err
+    # level names are case-insensitive
+    args = cli.build_parser().parse_args(["--log-level", "debug", "mesh"])
+    assert args.log_level == "DEBUG"
+
+
 @pytest.mark.parametrize("flag", [["--threads", "2"]], ids=["threads"])
 def test_sweep_only_flags_rejected_elsewhere(small_cfg, tmp_path, flag):
     # only sweep reads --threads

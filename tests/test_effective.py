@@ -161,7 +161,7 @@ def test_dielectric_general_bounds(coarse_template):
                              w_modes=(((0, 1), 0.3),), floor=0.5)
     res = solve_dielectric_cells(field, field, coarse_template, K=4)
     assert res.mode == "general"
-    assert res.stage1_solves == 16
+    assert res.stage1_solves == 4
     arith, harm = joint_means(field)
     eigs = np.linalg.eigvalsh(res.theta_eff)
     assert np.abs(res.theta_eff - res.theta_eff.T).max() <= 1e-10
@@ -387,6 +387,40 @@ def test_each_cell_matrix_factored_once(coarse_template, monkeypatch):
     eff = compute_effective(coarse_template, default_fields(), K=K)
     assert eff.provenance["dielectric_mode"] == "constant-y"
     assert calls == {"splu": 2, "single": 0}
+
+
+@pytest.mark.parametrize("K", [4, 8])
+def test_stage1_solves_each_distinct_sample_once(coarse_template, monkeypatch,
+                                                 K):
+    # every w-mode is (1, 0), so centers with the same first coordinate
+    # share their frozen coefficient and at most K cell problems are
+    # distinct
+    rho_f = CoefficientField("rho_f", 2.0, y_modes=(((1, 0), 0.3),),
+                             w_modes=(((1, 0), 0.6),), floor=0.5)
+    rho_s = CoefficientField("rho_s", 2.0, y_modes=(((0, 1), 0.3),),
+                             w_modes=(((1, 0), 0.6),), floor=0.5)
+    centers = omega_grid_centers(K).reshape(-1, 2)
+    keys = {(float(rho_f.w_value(w)), float(rho_s.w_value(w)))
+            for w in centers}
+    single = effective.solve_dielectric_single
+    # the reference solves at every center
+    ref_star = np.stack([single(coarse_template, rho_f, rho_s, w)[1]
+                         for w in centers]).reshape(K, K, 2, 2)
+    _, ref_eff, _ = q1_periodic_solve(ref_star)
+
+    calls = []
+
+    def counting_single(*args, **kwargs):
+        calls.append(args)
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(effective, "solve_dielectric_single", counting_single)
+    res = solve_dielectric_cells(rho_f, rho_s, coarse_template, K=K)
+    assert res.mode == "general"
+    assert len(calls) == len(keys) <= K
+    assert res.stage1_solves == len(keys)
+    assert np.array_equal(res.theta_star, ref_star)
+    assert np.array_equal(res.theta_eff, ref_eff)
 
 
 def _drift_tensor(template, species_sol, wsol):

@@ -333,6 +333,36 @@ def test_drift_fill_matches_element_formula(drift_mesh):
         assemble_drift(pattern, potential[1:])
 
 
+def _drift_rounding_scale(verts, tris, potential):
+    # the element formula with every factor in absolute value, component by
+    # component: the size of the terms each entry sums, in the fill and in
+    # the reference alike.  |T| @ |phi| is smaller where the gradients of a
+    # triangle are orthogonal, as on right angles, so T's entry cancels
+    areas, grads = tri_geometry(verts, tris)
+    speed = np.einsum("tkd,tk->td", np.abs(grads), np.abs(potential)[tris])
+    terms = np.einsum("tid,td->ti", np.abs(grads), speed) * (areas / 3.0)[
+        :, None]
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    n = len(verts)
+    return sp.coo_matrix((np.repeat(terms, 3, axis=1).ravel(), (rows, cols)),
+                         shape=(n, n)).toarray()
+
+
+def test_drift_fill_rounding_at_any_scale(drift_mesh):
+    # a standard normal potential: each entry of the fill is within the
+    # rounding of its own terms, whatever the size of the entries
+    verts, tris, _ = drift_mesh
+    potential = np.random.default_rng(7).standard_normal(len(verts))
+    pattern = MeshPattern(verts, tris, None)
+    K = assemble_drift(pattern, potential)
+    dense = _dense_drift(verts, tris, tri_gradient(verts, tris, potential))
+    slots = (pattern.rows, pattern.indices)
+    gap = np.abs(K.data - dense[slots])
+    scale = _drift_rounding_scale(verts, tris, potential)[slots]
+    assert np.all(gap <= 4.0 * np.finfo(float).eps * scale)
+
+
 def test_drift_map_orientation(drift_mesh):
     # the drift velocity is B grad(phi); B is not symmetric, so the
     # transposed map fills a different matrix
