@@ -148,10 +148,14 @@ def cmd_micro(args):
     template = build_template_cell(cfg.geometry)
     failures = 0
     for n in cfg.eps_list:
+        # each fine problem is dropped before the next is built, so only one
+        # is held at a time
+        mesh = domain = problem = None
         mesh = tile_domain(template, n)
         domain = FineDomain(mesh, cfg.pnp)
         for i in range(cfg.n_omega_samples):
             omega = sample_omega(cfg.seed + i).omega
+            problem = None
             problem = MicroProblem(domain, cfg.pnp, cfg.fields, omega)
             tag = "%s_omega_%d" % (_eps_tag(n), i)
             try:

@@ -13,7 +13,7 @@ The schema, with defaults in parentheses:
   eps_list: reciprocals of the scale parameter, increasing integers ([2,3,4,5])
   n_omega_samples: ensemble size M for sweeps (8)
   seed: base seed (0)
-  K: sample-stage grid resolution (32)
+  K: sample-stage grid resolution, even and >= 4 (32)
   macro_resolution: unperforated macro mesh resolution, even (96)
   twoscale: M (64, at least 1), eps_list ([2,4,8,16]) for the oscillation
       tables
@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .effective import check_sample_grid
 from .geometry import UnitCellSpec
 from .micro import MicroCoefficients, PnpParams
 from .randomfield import CoefficientField, GammaFunction
@@ -91,13 +92,25 @@ def _merge(base, override, path="config"):
     return out
 
 
+def _check_int(value, path):
+    """value as an int: a boolean, or a number that int() would truncate,
+    is refused."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if isinstance(value, bool) or n is None or n != value:
+        raise ConfigError("%s must be an integer, got %r" % (path, value))
+    return n
+
+
 def _check_eps_list(values, path):
     if not values:
         raise ConfigError("%s must not be empty" % path)
     ns = []
     for v in values:
-        n = int(v)
-        if n != v or n < 1:
+        n = _check_int(v, "%s entry" % path)
+        if n < 1:
             raise ConfigError("%s entries must be positive integers "
                               "(reciprocals of eps), got %r" % (path, v))
         ns.append(n)
@@ -149,27 +162,33 @@ class ExperimentConfig:
     def __init__(self, data):
         self.data = data
         self.eps_list = _check_eps_list(data["eps_list"], "eps_list")
-        self.n_omega_samples = int(data["n_omega_samples"])
+        self.n_omega_samples = _check_int(data["n_omega_samples"],
+                                          "n_omega_samples")
         if self.n_omega_samples < 1:
             raise ConfigError("n_omega_samples must be >= 1")
-        self.seed = int(data["seed"])
+        self.seed = _check_int(data["seed"], "seed")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0, got %d" % self.seed)
-        self.K = int(data["K"])
-        self.macro_resolution = int(data["macro_resolution"])
+        self.K = _check_int(data["K"], "K")
+        self.macro_resolution = _check_int(data["macro_resolution"],
+                                           "macro_resolution")
         if self.macro_resolution < 4 or self.macro_resolution % 2:
             raise ConfigError(
                 "macro_resolution must be even and >= 4, got %d: the limit "
                 "mesh's union-jack grid needs an even side"
                 % self.macro_resolution)
         ts = data["twoscale"]
-        self.twoscale_M = int(ts["M"])
+        self.twoscale_M = _check_int(ts["M"], "twoscale.M")
         if self.twoscale_M < 1:
             raise ConfigError("twoscale.M must be >= 1")
         self.twoscale_eps = _check_eps_list(ts["eps_list"],
                                             "twoscale.eps_list")
+        for section, key in (("pnp", "gummel_max"), ("pnp", "n_outputs"),
+                             ("geometry", "n_interface_segments")):
+            _check_int(data[section][key], "%s.%s" % (section, key))
         # build eagerly so invalid sections fail at load time
         try:
+            check_sample_grid(self.K)
             self.geometry = UnitCellSpec(**data["geometry"])
             self.fields = MicroCoefficients(
                 rho_f=CoefficientField.from_json_dict(

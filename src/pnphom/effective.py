@@ -5,8 +5,9 @@ at scale eps and a periodic pattern at scale eps^2.  The limit model is
 built stagewise.  The fast periodic stage solves corrector problems on the
 template cell (species correctors on the fluid part, dielectric correctors
 on the full cell).  The sample stage treats the resulting tensor field on
-the torus of shifts as an ordinary periodic coefficient, discretized with
-bilinear elements on a K x K grid, and condenses it once more.  The output
+the torus of shifts as an ordinary periodic coefficient, constant on each
+square of a K x K grid, and condenses it once more with the same P1 cell
+solver on that grid's union-jack triangulation.  The output
 is a set of constant tensors (species diffusion, drift coupling, effective
 dielectric), the porosity, and the averaged surface factor.
 
@@ -19,7 +20,6 @@ species tensor for any dielectric coefficient, discretely as well.
 
 import json
 import logging
-import math
 from functools import partial
 
 import numpy as np
@@ -33,7 +33,7 @@ from .fem import (
     phase_integrals,
     tri_geometry,
 )
-from .geometry import FLUID, _periodic_rep
+from .geometry import FLUID, UnitCellSpec, _build_square_cell, _periodic_rep
 
 log = logging.getLogger("pnphom.effective")
 
@@ -111,7 +111,6 @@ class CellProblemSolution:
 
     Attributes
     ----------
-    kind : str, one of 'species-y', 'dielectric-y'
     vertices, triangles : the (sub)mesh the correctors live on
     correctors : list of two vertex arrays, one per unit direction
     residuals : list of two relative residuals
@@ -121,9 +120,7 @@ class CellProblemSolution:
         the region)
     """
 
-    def __init__(self, kind, vertices, triangles, correctors, residuals,
-                 operator):
-        self.kind = kind
+    def __init__(self, vertices, triangles, correctors, residuals, operator):
         self.vertices = vertices
         self.triangles = triangles
         self.correctors = correctors
@@ -139,36 +136,43 @@ class CellProblemSolution:
         return max(abs(float(weights.dot(u))) for u in self.correctors)
 
 
-def _solve_cell(kind, vertices, triangles, pair_arrays, csum=None):
+def _solve_cell(kind, vertices, triangles, pair_arrays, coefficient=None):
     """Unit-direction correctors of div(a (e_k + grad u)) = 0 on a cell.
 
-    csum is the per-triangle integral of a (the area when None, a = 1);
-    the mean-zero weights are the lumped area of the (sub)mesh.  The load
-    of direction k is b_i = sum_T (int_T a) d(phi_i)/dy_k.  Returns the
-    solution, which keeps the factored operator, and the energy tensor of
-    the fluxes e_k + grad u_k.
+    coefficient is the per-triangle integral of a scalar a, shape (nt,)
+    (the area when None, a = 1), or the value of a symmetric tensor a on
+    each triangle, shape (nt, 2, 2); the mean-zero weights are the lumped
+    area of the (sub)mesh.  The load of direction k is
+    b_i = sum_T |T| (a e_k) . grad(phi_i).  Returns the solution, which
+    keeps the factored operator, and the energy tensor of the fluxes
+    e_k + grad u_k.
     """
     nv = vertices.shape[0]
-    A = assemble_stiffness(vertices, triangles, csum)
+    A = assemble_stiffness(vertices, triangles, coefficient)
     areas, grads = tri_geometry(vertices, triangles)
-    if csum is None:
-        csum = areas
+    tri_scale, tensor = areas, coefficient
+    if coefficient is None or coefficient.ndim == 1:
+        # a scalar a: its integral carries the area, its tensor is the unit
+        tri_scale = areas if coefficient is None else coefficient
+        tensor = np.broadcast_to(np.eye(2), (len(areas), 2, 2))
     weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
                        triangles, nv)
     operator = _PeriodicOperator(A, weights, _periodic_rep(nv, pair_arrays))
     correctors, residuals, fluxes = [], [], []
     for k in range(2):
-        u, resid = operator.solve(
-            _scatter(grads[:, :, k] * csum[:, None], triangles, nv))
+        load = np.einsum("tid,td->ti", grads, tensor[:, :, k])
+        u, resid = operator.solve(_scatter(load * tri_scale[:, None],
+                                           triangles, nv))
         _check_residual(kind, resid)
         flux = np.einsum("tid,ti->td", grads, u[triangles])
         flux[:, k] += 1.0
         correctors.append(u)
         residuals.append(resid)
         fluxes.append(flux)
-    sol = CellProblemSolution(kind + "-y", vertices, triangles, correctors,
-                              residuals, operator)
-    return sol, _energy_tensor(csum, fluxes, fluxes)
+    sol = CellProblemSolution(vertices, triangles, correctors, residuals,
+                              operator)
+    return sol, _energy_tensor(tri_scale, fluxes, [
+        np.einsum("tde,te->td", tensor, flux) for flux in fluxes])
 
 
 def _fluid_subcell(template):
@@ -246,28 +250,7 @@ def solve_dielectric_single(template, rho_f, rho_s, omega):
 
 
 # ---------------------------------------------------------------------------
-# dielectric stage 2: bilinear periodic solver on the sample torus
-
-
-_GAUSS_1D = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-
-
-def _q1_reference():
-    """2x2 Gauss points and basis gradients for the unit reference square.
-
-    Basis order: (0,0), (1,0), (1,1), (0,1).
-    """
-    pts = [(a, b) for a in _GAUSS_1D for b in _GAUSS_1D]
-    G = np.empty((4, 4, 2))
-    for g, (xi, eta) in enumerate(pts):
-        G[g] = [[-(1.0 - eta), -(1.0 - xi)],
-                [1.0 - eta, -xi],
-                [eta, xi],
-                [-eta, 1.0 - xi]]
-    return G
-
-
-_Q1_GRADS = _q1_reference()
+# dielectric stage 2: the same P1 cell problem on the sample torus
 
 
 def omega_grid_centers(K):
@@ -276,65 +259,39 @@ def omega_grid_centers(K):
     return np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
 
 
-def q1_periodic_solve(tensor_grid):
-    """Periodic corrector problems on the sample torus with Q1 elements.
+def check_sample_grid(K):
+    """Refuse a K that the sample torus's grid cannot have."""
+    if K < 4 or K % 2:
+        raise OmegaGridError(
+            "sample grid K=%d must be even and >= 4: the sample torus's "
+            "union-jack grid needs an even side" % K)
 
-    Parameters
-    ----------
-    tensor_grid : (K, K, 2, 2) array
-        Symmetric positive tensor per grid element (element centers).
+
+def solve_sample_cell(tensor_grid):
+    """Periodic corrector problems on the sample torus.
+
+    tensor_grid is a (K, K, 2, 2) array of symmetric positive tensors, one
+    per square of the K x K grid (sampled at its center).  The torus is
+    the unit square's union-jack grid with K squares per side; each of its
+    triangles takes the tensor of the square that holds it, and the
+    problem is solved by the same P1 cell solver as stage 1.
 
     Returns
     -------
-    correctors : (2, K*K) nodal values, mean zero
-    effective : (2, 2) array
-    residuals : list of two relative residuals
+    (CellProblemSolution, (2, 2) effective tensor)
     """
     theta = np.asarray(tensor_grid, dtype=float)
     K = theta.shape[0]
     if theta.shape != (K, K, 2, 2):
         raise ValueError("tensor grid must have shape (K, K, 2, 2)")
-    h = 1.0 / K
-    K2 = K * K
-    flat = theta.reshape(K2, 2, 2)
-
-    idx = np.arange(K2).reshape(K, K)
-    ip = np.roll(idx, -1, axis=0)
-    jp = np.roll(idx, -1, axis=1)
-    ipjp = np.roll(ip, -1, axis=1)
-    conn = np.stack([idx, ip, ipjp, jp], axis=-1).reshape(K2, 4)
-
-    G = _Q1_GRADS
-    local = 0.25 * np.einsum("gad,nde,gbe->nab", G, flat, G)
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(K2, K2)).tocsr()
-
-    operator = _PeriodicOperator(A, np.full(K2, h * h), np.arange(K2))
-    SG = G.sum(axis=0)
-
-    correctors = np.zeros((2, K2))
-    residuals = []
-    fluxes = []
-    for k in range(2):
-        be = 0.25 * h * np.einsum("ad,nd->na", SG, flat[:, :, k])
-        b = np.zeros(K2)
-        np.add.at(b, conn.ravel(), be.ravel())
-        u, resid = operator.solve(b)
-        _check_residual("sample-stage", resid)
-        correctors[k] = u
-        residuals.append(resid)
-        dW = np.einsum("na,gad->ngd", u[conn], G) / h
-        dW[:, :, k] += 1.0
-        fluxes.append(dW)
-
-    effective = np.empty((2, 2))
-    cell_w = 0.25 * h * h
-    for j in range(2):
-        for k in range(2):
-            effective[j, k] = cell_w * float(
-                np.einsum("ngd,nde,nge->", fluxes[j], flat, fluxes[k]))
-    return correctors, effective, residuals
+    check_sample_grid(K)
+    # the union-jack grid of macro.macro_mesh, built without the template
+    # checks, which a uniform grid passes by construction
+    grid = _build_square_cell(UnitCellSpec(0.0, target_edge_length=1.0 / K))
+    # each triangle lies inside one square, found by flooring its centroid
+    i, j = (grid.vertices[grid.triangles].mean(axis=1) * K).astype(int).T
+    return _solve_cell("sample-stage", grid.vertices, grid.triangles,
+                       list(grid.periodic_pairs().values()), theta[i, j])
 
 
 def corrector_norm(correctors, K):
@@ -362,10 +319,11 @@ def omega_stage_species(constant_tensor=None, injected_samples=None, K=32):
         grid = np.asarray(injected_samples, dtype=float)
         K = grid.shape[0]
     else:
-        tensor = (np.eye(2) if constant_tensor is None
-                  else np.asarray(constant_tensor, dtype=float))
-        grid = np.broadcast_to(tensor, (K, K, 2, 2)).copy()
-    correctors, _, _ = q1_periodic_solve(grid)
+        tensor = np.eye(2) if constant_tensor is None else constant_tensor
+        grid = np.broadcast_to(tensor, (K, K, 2, 2))
+    sol, _ = solve_sample_cell(grid)
+    # the values at the K^2 distinct nodes of the torus
+    correctors = np.stack(sol.correctors)[:, np.unique(sol.operator.rep)]
     return corrector_norm(correctors, K), correctors
 
 
@@ -431,8 +389,7 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
         raise OmegaGridError(
             "sample grid K=%d cannot resolve modes up to frequency %d; "
             "need K >= %d" % (K, freq, required))
-    if K < 2:
-        raise OmegaGridError("sample grid needs K >= 2")
+    check_sample_grid(K)
 
     centers = omega_grid_centers(K)
     theta_star = np.empty((K, K, 2, 2))
@@ -461,9 +418,9 @@ def solve_dielectric_cells(rho_f, rho_s, template, K=32):
         log.info("dielectric stage 1: %d distinct cell problems for %d "
                  "samples on a %dx%d grid", solves, K * K, K, K)
 
-    _, theta_eff, stage2_resid = q1_periodic_solve(theta_star)
+    stage2, theta_eff = solve_sample_cell(theta_star)
     return DielectricResult(mode, K, theta_star, theta_eff, stage1_resid,
-                            stage2_resid, solves)
+                            stage2.residuals, solves)
 
 
 # ---------------------------------------------------------------------------

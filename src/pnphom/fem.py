@@ -2,14 +2,14 @@
 
 The edge-midpoint triangle rule, in the per-triangle integrals of a
 phase-split density, and the Gauss-Legendre edge rules; vectorized assembly
-of stiffness matrices from such integrals or from a constant tensor and of
-mass matrices (as canonical scipy CSR matrices) and of interface-trace
-loads; the fixed CSR pattern of a mesh with its drift operator, whose
-product with a potential is the data of the drift matrix, and the upwind
-Laplacian on it; the sparse LU and the bordered LU of a problem whose
-kernel is the constants; CG through ``scipy.sparse.linalg`` with an
-iteration count; and a damped Newton iteration for the nonlinear interface
-term.
+of stiffness matrices from such integrals or from tensor values per
+triangle and of mass matrices (as canonical scipy CSR matrices) and of
+interface-trace loads; the fixed CSR pattern of a mesh with its drift
+operator, whose product with a potential is the data of the drift matrix,
+and the upwind Laplacian on it; the sparse LU and the bordered LU of a
+problem whose kernel is the constants; CG through ``scipy.sparse.linalg``
+with an iteration count; and a damped Newton iteration for the nonlinear
+interface term.
 """
 
 import math
@@ -143,10 +143,11 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
     ----------
     vertices : (nv, 2) array
     triangles : (nt, 3) int array
-    coefficient : None, (nt,) array, or (2, 2) array
+    coefficient : None, (nt,) array, (nt, 2, 2) array or (2, 2) array
         None is a = 1.  An (nt,) array holds the integral of a scalar a
-        over each triangle, as :func:`phase_integrals` returns it.  A
-        (2, 2) array is a constant symmetric tensor.
+        over each triangle, as :func:`phase_integrals` returns it.  An
+        (nt, 2, 2) array holds a symmetric tensor a per triangle, and a
+        (2, 2) array a constant one.
 
     Returns
     -------
@@ -169,14 +170,15 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
         # (int_T a) grad_i . grad_j
         local = np.einsum("tid,tjd->tij", grads, grads) * coef[:, None, None]
     else:
-        if coef.shape != (2, 2):
-            raise AssemblyError("constant coefficient must be 2x2")
-        skew = np.abs(coef - coef.T).max()
+        if coef.shape not in ((2, 2), (nt, 2, 2)):
+            raise AssemblyError("tensor shape must be (2, 2) or (nt, 2, 2)")
+        coef = np.broadcast_to(coef, (nt, 2, 2))
+        skew = np.abs(coef - coef.transpose(0, 2, 1)).max()
         if skew > 1e-12:
             raise AssemblyError(
                 "tensor coefficient is not symmetric: |a - a^T| = %.3e"
                 % skew)
-        local = (np.einsum("tid,de,tje->tij", grads, coef, grads)
+        local = (np.einsum("tid,tde,tje->tij", grads, coef, grads)
                  * areas[:, None, None])
 
     return _sum_local(triangles, local, vertices.shape[0])
@@ -367,8 +369,14 @@ def _bordered_solver(A, border):
     multiplier lambda = sum(b) / sum(border) takes up the part of b outside
     the range of A: u solves A u = b - lambda border.
     """
-    lu = _splu(sp.bmat([[A, border[:, None]], [border[None, :], None]],
-                       format="csc"))
+    # from coordinates: sp.bmat's bookkeeping outweighs a small cell's LU
+    n = A.shape[0]
+    coo = A.tocoo()
+    ids, last = np.arange(n), np.full(n, n)
+    lu = _splu(sp.csc_matrix(
+        (np.concatenate([coo.data, border, border]),
+         (np.concatenate([coo.row, ids, last]),
+          np.concatenate([coo.col, last, ids]))), shape=(n + 1, n + 1)))
 
     def solve(b):
         return lu.solve(np.concatenate([b, [0.0]]))[:-1]

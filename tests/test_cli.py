@@ -1,7 +1,9 @@
 """Smoke tests for the command-line harness."""
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -99,6 +101,34 @@ def test_micro_command(small_cfg, tmp_path, capsys):
     header = open(os.path.join(
         out, "micro_ledger_eps_1_2_omega_0.csv")).readline().strip()
     assert header == "t,mass_plus,mass_minus,pi_eps,min_conc,gummel_iters"
+
+
+def test_micro_holds_one_fine_problem(tmp_path, monkeypatch):
+    # a new FineDomain is built once every earlier domain and problem is
+    # gone, and a new MicroProblem once every earlier problem is
+    built = {"domain": [], "problem": []}
+
+    def tracked(cls, key, earlier):
+        class Tracked(cls):
+            def __init__(self, *args, **kwargs):
+                gc.collect()
+                alive = [k for k in earlier for ref in built[k]
+                         if ref() is not None]
+                assert not alive, "%s built while %s alive" % (key, alive)
+                super().__init__(*args, **kwargs)
+                built[key].append(weakref.ref(self))
+        return Tracked
+
+    monkeypatch.setattr(cli, "FineDomain", tracked(
+        cli.FineDomain, "domain", ("domain", "problem")))
+    monkeypatch.setattr(cli, "MicroProblem", tracked(
+        cli.MicroProblem, "problem", ("problem",)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SMALL, eps_list=[2, 3],
+                                    n_omega_samples=2)))
+    assert run_cli(["micro", "--config", str(path),
+                    "--out", str(tmp_path / "micro")]) == 0
+    assert [len(refs) for refs in built.values()] == [2, 4]
 
 
 def test_effective_command(small_cfg, tmp_path, capsys):
@@ -200,6 +230,16 @@ def test_unresolvable_sample_grid_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert err.value.code == 2
     assert "config error: sample grid K=2" in capsys.readouterr().err
+
+
+def test_non_integer_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(dict(SMALL, K=32.7)))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["effective", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "config error: K must be an integer" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(small_cfg, tmp_path, capsys):

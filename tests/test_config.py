@@ -82,6 +82,20 @@ def test_invalid_json_rejected(tmp_path):
     {"twoscale": {"eps_list": [8, 4]}},
     {"seed": -1},
     {"pnp": {"n_outputs": 0}},
+    # integer keys refuse what int() would truncate, and booleans
+    {"K": 32.7},
+    {"K": True},
+    {"n_omega_samples": 2.9},
+    {"seed": 1.5},
+    {"macro_resolution": 48.5},
+    {"twoscale": {"M": 4.5}},
+    {"pnp": {"n_outputs": 5.5}},
+    {"pnp": {"gummel_max": 20.9}},
+    {"geometry": {"n_interface_segments": 32.5}},
+    {"eps_list": [True, 2]},
+    # the sample torus's union-jack grid has an even side of at least 4
+    {"K": 2},
+    {"K": 33},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):

@@ -16,9 +16,9 @@ from pnphom.effective import (
     corrector_norm,
     omega_grid_centers,
     omega_stage_species,
-    q1_periodic_solve,
     solve_dielectric_cells,
     solve_dielectric_single,
+    solve_sample_cell,
     solve_species_cell,
     surface_factor,
     _require_connected,
@@ -188,18 +188,18 @@ def test_omega_grid_centers():
 
 
 # ---------------------------------------------------------------------------
-# sample-stage bilinear solver
+# sample-stage solver
 
 
-def test_q1_constant_tensor():
+def test_sample_cell_constant_tensor():
     tensor = np.array([[2.0, 0.3], [0.3, 1.5]])
-    grid = np.broadcast_to(tensor, (8, 8, 2, 2)).copy()
-    W, eff, res = q1_periodic_solve(grid)
-    assert np.abs(W).max() <= 1e-12
+    grid = np.broadcast_to(tensor, (8, 8, 2, 2))
+    sol, eff = solve_sample_cell(grid)
+    assert np.abs(sol.correctors).max() <= 1e-12
     assert np.abs(eff - tensor).max() <= 1e-12
 
 
-def test_q1_layered_discrete_exact():
+def test_sample_cell_layered_discrete_exact():
     # for a coefficient varying in one grid direction only, the discrete
     # effective tensor equals the harmonic/arithmetic means of the sampled
     # values exactly (the scheme collapses to 1D finite elements)
@@ -209,29 +209,41 @@ def test_q1_layered_discrete_exact():
     grid = np.zeros((K, K, 2, 2))
     grid[:, :, 0, 0] = v[:, None]
     grid[:, :, 1, 1] = v[:, None]
-    W, eff, res = q1_periodic_solve(grid)
+    sol, eff = solve_sample_cell(grid)
     harm = K / np.sum(1.0 / v)
     assert abs(eff[0, 0] - harm) <= 1e-12
     assert abs(eff[1, 1] - v.mean()) <= 1e-12
     assert abs(eff[0, 1]) <= 1e-12
-    assert max(res) <= 1e-10
+    assert max(sol.residuals) <= 1e-10
 
 
-def test_q1_shape_validation():
+def test_sample_cell_shape_validation():
     with pytest.raises(ValueError):
-        q1_periodic_solve(np.ones((4, 5, 2, 2)))
+        solve_sample_cell(np.ones((4, 5, 2, 2)))
 
 
-def test_q1_corrector_mean_zero():
+@pytest.mark.parametrize("K", [2, 5, 9])
+def test_sample_grid_must_be_even(template, K):
+    # the union-jack grid has an even side of at least 4, so an odd K would
+    # be solved on K + 1 squares per side
+    with pytest.raises(OmegaGridError, match="sample grid K=%d" % K):
+        solve_sample_cell(np.broadcast_to(np.eye(2), (K, K, 2, 2)))
+    const = CoefficientField("rho", 2.0)
+    with pytest.raises(OmegaGridError, match="sample grid K=%d" % K):
+        solve_dielectric_cells(const, const, template, K=K)
+
+
+def test_sample_cell_corrector_mean_zero():
     field = CoefficientField("rho", 2.0, w_modes=(((1, 1), 0.7),),
                              floor=0.5)
     c = omega_grid_centers(16)
     vals = field.y_average(c.reshape(-1, 2)).reshape(16, 16)
     grid = vals[:, :, None, None] * np.eye(2)
-    W, eff, _ = q1_periodic_solve(grid)
-    assert abs(W[0].mean()) <= 1e-12
-    assert abs(W[1].mean()) <= 1e-12
-    assert np.abs(W).max() > 1e-3
+    sol, eff = solve_sample_cell(grid)
+    # weighted by the lumped area, the solver's mean-zero condition
+    assert sol.mean_defect() <= 1e-12
+    assert sol.periodicity_defect() == 0.0
+    assert np.abs(sol.correctors).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -362,31 +374,33 @@ def test_voigt_reuss_random_configs(coarse_template):
 
 
 def test_each_cell_matrix_factored_once(coarse_template, monkeypatch):
-    calls = {"splu": 0, "single": 0}
+    calls = {"splu": 0, "single": 0, "cell": 0}
     splu = spla.splu
     single = effective.solve_dielectric_single
+    cell = effective._solve_cell
 
-    def counting_splu(*args, **kwargs):
-        calls["splu"] += 1
-        return splu(*args, **kwargs)
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counting_single(*args, **kwargs):
-        calls["single"] += 1
-        return single(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
-    monkeypatch.setattr(effective, "solve_dielectric_single", counting_single)
+    monkeypatch.setattr(spla, "splu", counting("splu", splu))
+    monkeypatch.setattr(effective, "solve_dielectric_single",
+                        counting("single", single))
+    # every cell problem of both stages goes through the one cell solver
+    monkeypatch.setattr(effective, "_solve_cell", counting("cell", cell))
     K = 4
     eff = compute_effective(coarse_template, general_fields(), K=K)
     assert eff.provenance["dielectric_mode"] == "general"
     # species, one per stage-1 sample, one for stage 2; no drift stage
-    assert calls == {"splu": K * K + 2, "single": K * K}
+    assert calls == {"splu": K * K + 2, "single": K * K, "cell": K * K + 2}
     assert np.array_equal(eff.B_hom, eff.A_hom)
 
-    calls.update(splu=0, single=0)
+    calls.update(splu=0, single=0, cell=0)
     eff = compute_effective(coarse_template, default_fields(), K=K)
     assert eff.provenance["dielectric_mode"] == "constant-y"
-    assert calls == {"splu": 2, "single": 0}
+    assert calls == {"splu": 2, "single": 0, "cell": 2}
 
 
 @pytest.mark.parametrize("K", [4, 8])
@@ -406,7 +420,7 @@ def test_stage1_solves_each_distinct_sample_once(coarse_template, monkeypatch,
     # the reference solves at every center
     ref_star = np.stack([single(coarse_template, rho_f, rho_s, w)[1]
                          for w in centers]).reshape(K, K, 2, 2)
-    _, ref_eff, _ = q1_periodic_solve(ref_star)
+    _, ref_eff = solve_sample_cell(ref_star)
 
     calls = []
 

@@ -197,6 +197,17 @@ def test_stiffness_rejects_nonsymmetric_tensor():
     A = assemble_stiffness(cell.vertices, cell.triangles,
                            coefficient=np.array([[2.0, 0.5], [0.5, 1.0]]))
     assert abs(A - A.T).max() <= 1e-15
+    # per-triangle values: a constant tensor is their broadcast, bit for
+    # bit, and one skew triangle is refused
+    values = np.tile([[2.0, 0.5], [0.5, 1.0]], (cell.n_triangles, 1, 1))
+    B = assemble_stiffness(cell.vertices, cell.triangles, coefficient=values)
+    assert (A != B).nnz == 0
+    values[3, 0, 1] = 0.0
+    with pytest.raises(AssemblyError):
+        assemble_stiffness(cell.vertices, cell.triangles, coefficient=values)
+    with pytest.raises(AssemblyError):
+        assemble_stiffness(cell.vertices, cell.triangles,
+                           coefficient=values[:-1])
 
 
 def test_stiffness_degenerate_triangle():
