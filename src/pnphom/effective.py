@@ -148,8 +148,8 @@ def _solve_cell(kind, vertices, triangles, pair_arrays, coefficient=None):
     e_k + grad u_k.
     """
     nv = vertices.shape[0]
-    A = assemble_stiffness(vertices, triangles, coefficient)
     areas, grads = tri_geometry(vertices, triangles)
+    A = assemble_stiffness(vertices, triangles, coefficient, (areas, grads))
     tri_scale, tensor = areas, coefficient
     if coefficient is None or coefficient.ndim == 1:
         # a scalar a: its integral carries the area, its tensor is the unit

@@ -6,12 +6,14 @@ of stiffness matrices from such integrals or from tensor values per
 triangle and of mass matrices (as canonical scipy CSR matrices) and of
 interface-trace loads; the fixed CSR pattern of a mesh with its drift
 operator, whose product with a potential is the data of the drift matrix,
-and the upwind Laplacian on it; the sparse LU and the bordered LU of a
-problem whose kernel is the constants; CG through ``scipy.sparse.linalg``
-with an iteration count; and a damped Newton iteration for the nonlinear
-interface term.
+built from the triangles or as the tiling of the pattern of the mesh that
+a tiling repeats, and the upwind Laplacian on it; the sparse LU and the
+bordered LU of a problem whose kernel is the constants; CG through
+``scipy.sparse.linalg`` with an iteration count; and a damped Newton
+iteration for the nonlinear interface term.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -136,7 +138,7 @@ def phase_integrals(vertices, triangles, tri_phase, densities):
     return csum
 
 
-def assemble_stiffness(vertices, triangles, coefficient=None):
+def assemble_stiffness(vertices, triangles, coefficient=None, geometry=None):
     """Assemble the P1 stiffness matrix of -div(a grad u) on a triangle set.
 
     Parameters
@@ -148,6 +150,8 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
         over each triangle, as :func:`phase_integrals` returns it.  An
         (nt, 2, 2) array holds a symmetric tensor a per triangle, and a
         (2, 2) array a constant one.
+    geometry : the (areas, grads) of :func:`tri_geometry` for these
+        triangles, when the caller has them; computed when None
 
     Returns
     -------
@@ -158,7 +162,8 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
     triangles = np.asarray(triangles)
     if triangles.shape[0] == 0:
         raise AssemblyError("empty region")
-    areas, grads = tri_geometry(vertices, triangles)
+    areas, grads = (tri_geometry(vertices, triangles) if geometry is None
+                    else geometry)
     nt = triangles.shape[0]
     coef = areas if coefficient is None else np.asarray(coefficient,
                                                         dtype=float)
@@ -178,7 +183,11 @@ def assemble_stiffness(vertices, triangles, coefficient=None):
             raise AssemblyError(
                 "tensor coefficient is not symmetric: |a - a^T| = %.3e"
                 % skew)
-        local = (np.einsum("tid,tde,tje->tij", grads, coef, grads)
+        # grad_i . a grad_j, the four (d, e) terms summed in the order of
+        # einsum("tid,tde,tje->tij"), which numpy runs unoptimized
+        terms = [grads[:, :, None, d] * coef[:, None, None, d, e]
+                 * grads[:, None, :, e] for d in range(2) for e in range(2)]
+        local = ((terms[0] + terms[1] + terms[2] + terms[3])
                  * areas[:, None, None])
 
     return _sum_local(triangles, local, vertices.shape[0])
@@ -204,60 +213,138 @@ def tri_gradient(vertices, triangles, values):
     return np.einsum("tid,ti->td", grads, values[np.asarray(triangles)])
 
 
+def element_slots(triangles, n):
+    """The P1 pattern of a triangle set on n vertices.
+
+    Returns the sorted keys row * n + col of every vertex pair sharing a
+    triangle, and the slot among them of each of the 9 nt element entries
+    (t, i, j), in that order.  The pattern comes from the triangles, not
+    from an assembled matrix: a stiffness matrix on right-angle triangles
+    has structural zeros that a drift matrix fills.
+    """
+    triangles = np.asarray(triangles)
+    if triangles.shape[0] == 0:
+        raise AssemblyError("empty region")
+    rows = np.repeat(triangles, 3, axis=1).ravel().astype(np.int64)
+    cols = np.tile(triangles, (1, 3)).ravel().astype(np.int64)
+    keys, slots = np.unique(rows * n + cols, return_inverse=True)
+    return keys, slots.ravel()
+
+
+def drift_operator(vertices, triangles, slots, nnz, drift_map):
+    """The drift operator T of a mesh's pattern, sparse (nnz, n).
+
+    T @ phi is the data of the drift matrix of the velocity
+    v = B grad(phi), with B = drift_map (a (2, 2) tensor, or None for the
+    identity); slots and nnz are the pattern's, as :func:`element_slots`
+    gives them.
+    """
+    # K_local[t, i, j] = int_T hat_j (v . grad hat_i) = (area/3) g_i . v,
+    # the same for every j, with v = sum_k phi_k B g_k.  So T = S C: row
+    # (t, i) of C holds (area/3) g_i^T B g_k at column triangles[t, k],
+    # and S sums row (t, i) onto the slots of (t, i, j) for each j
+    triangles = np.asarray(triangles)
+    areas, grads = tri_geometry(vertices, triangles)
+    bgrads = grads if drift_map is None else grads @ np.asarray(
+        drift_map, dtype=float).T
+    local = (np.einsum("tid,tkd->tik", grads, bgrads)
+             * (areas / 3.0)[:, None, None])
+    nt = triangles.shape[0]
+    triples = np.arange(0, 9 * nt + 1, 3, dtype=np.int32)
+    C = sp.csr_matrix((local.ravel(), np.tile(triangles, (1, 3)).ravel()
+                       .astype(np.int32), triples),
+                      shape=(3 * nt, vertices.shape[0]))
+    S = sp.csr_matrix((np.ones(9 * nt), slots.astype(np.int32), triples),
+                      shape=(3 * nt, nnz)).T.tocsr()
+    drift = S @ C
+    drift.sort_indices()
+    return drift
+
+
 class MeshPattern:
     """Fixed CSR pattern of the P1 vertex graph of a triangle mesh, and the
     drift operator on it.
 
-    Built once per mesh: the CSR ``indices``/``indptr`` of every vertex pair
-    sharing a triangle, and ``drift``, the sparse (nnz, n) matrix T whose
-    product T @ phi is the data of the drift matrix of the velocity
-    v = B grad(phi), with B = ``drift_map`` (a (2, 2) tensor, or None for
-    the identity).  The pattern comes from the triangles, not from an
-    assembled matrix: a stiffness matrix on right-angle triangles has
-    structural zeros that a drift matrix fills.
+    keys : sorted keys row * n + col of the pattern's entries, as
+        :func:`element_slots` gives them; they make the CSR
+        ``indices``/``indptr``
+    drift : None, or the drift operator T (:func:`drift_operator`), whose
+        product T @ phi is the data of the drift matrix on the pattern
+
+    :func:`mesh_pattern` builds the pattern of a mesh from its triangles;
+    :meth:`tiled` builds the pattern of a tiling from the pattern of the
+    mesh that it repeats.
     """
 
-    def __init__(self, vertices, triangles, drift_map):
-        triangles = np.asarray(triangles)
-        if triangles.shape[0] == 0:
-            raise AssemblyError("empty region")
-        n = vertices.shape[0]
+    def __init__(self, keys, n, drift=None):
         self.n = n
-        rows = np.repeat(triangles, 3, axis=1).ravel().astype(np.int64)
-        cols = np.tile(triangles, (1, 3)).ravel().astype(np.int64)
-        # slots: the data slot of each of the 9 nt local entries (t, i, j)
-        keys, slots = np.unique(rows * n + cols, return_inverse=True)
-        self.rows, cols = np.divmod(keys, n)
+        rows, cols = np.divmod(keys, n)
         self.nnz = keys.shape[0]
         self.indices = cols.astype(np.int32)
-        self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(
             np.int32)
-        self.transpose_slots = np.searchsorted(keys, cols * n + self.rows)
-        self.diagonal_slots = np.flatnonzero(self.rows == cols)
-        # freed before the drift operator's arrays are allocated
-        del rows, cols, keys
-        # K_local[t, i, j] = int_T hat_j (v . grad hat_i) = (area/3) g_i . v,
-        # the same for every j, with v = sum_k phi_k B g_k.  So T = S C: row
-        # (t, i) of C holds (area/3) g_i^T B g_k at column triangles[t, k],
-        # and S sums row (t, i) onto the slots of (t, i, j) for each j
-        areas, grads = tri_geometry(vertices, triangles)
-        bgrads = grads if drift_map is None else grads @ np.asarray(
-            drift_map, dtype=float).T
-        local = (np.einsum("tid,tkd->tik", grads, bgrads)
-                 * (areas / 3.0)[:, None, None])
-        nt = triangles.shape[0]
-        triples = np.arange(0, 9 * nt + 1, 3, dtype=np.int32)
-        C = sp.csr_matrix((local.ravel(), np.tile(triangles, (1, 3)).ravel()
-                           .astype(np.int32), triples), shape=(3 * nt, n))
-        S = sp.csr_matrix((np.ones(9 * nt), slots.astype(np.int32), triples),
-                          shape=(3 * nt, self.nnz)).T.tocsr()
-        self.drift = S @ C
-        self.drift.sort_indices()
+        self.drift = drift
+
+    # the row of each slot, the slot of its transpose and the diagonal
+    # slots are built on first use: only a tiling and the upwind stabilizer
+    # read them
+    @functools.cached_property
+    def rows(self):
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @functools.cached_property
+    def transpose_slots(self):
+        return np.searchsorted(self.rows * self.n + self.indices,
+                               self.indices * np.int64(self.n) + self.rows)
+
+    @functools.cached_property
+    def diagonal_slots(self):
+        return np.flatnonzero(self.rows == self.indices)
+
+    def tiled(self, index):
+        """The pattern of a tiling of this pattern's mesh, and its slot map.
+
+        index : (m, n) int array; index[c, v] is the vertex of the tiling
+            that vertex v of copy c becomes
+
+        Returns (pattern, slots).  slots[c, k] is the slot of the tiling's
+        pattern that slot k of copy c adds to, so data on this pattern
+        tiles to ``np.bincount(slots.ravel(), np.tile(data, m))``.  The
+        drift operator tiles along, its rows through slots and its columns
+        through index; a matrix whose element integrals do not change under
+        the copy's similarity (a P1 stiffness, the drift) tiles exactly.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        m, nv = index.shape[0], int(index.max()) + 1
+        # the keys of every copy's entries, one unique over m nnz keys
+        keys, slots = np.unique(index[:, self.rows] * nv
+                                + index[:, self.indices], return_inverse=True)
+        slots = slots.reshape(m, self.nnz).astype(np.int32)
+        drift = None
+        if self.drift is not None:
+            # one COO triplet per entry of every copy; tocsr sums the
+            # duplicates into a canonical CSR matrix
+            t = self.drift
+            rows = np.repeat(slots, np.diff(t.indptr), axis=1)
+            cols = np.take(index.astype(np.int32), t.indices, axis=1)
+            drift = sp.coo_matrix((np.tile(t.data, m),
+                                   (rows.ravel(), cols.ravel())),
+                                  shape=(keys.shape[0], nv)).tocsr()
+        return MeshPattern(keys, nv, drift), slots
 
     def matrix(self, data):
         """CSR matrix with the given data on this pattern (no copy)."""
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
+
+    def assembled(self, data):
+        """Canonical CSR matrix with the given data on a copy of this
+        pattern, entries summing to zero dropped as in
+        :func:`assemble_stiffness`, so the LU orderings never see them."""
+        csr = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                            shape=(self.n, self.n))
+        csr.eliminate_zeros()
+        return csr
 
     def upwind_laplacian(self, data):
         """Artificial-diffusion stabilizer of a drift matrix on the pattern.
@@ -275,20 +362,32 @@ class MeshPattern:
         return lap
 
 
-def assemble_drift(pattern, potential):
-    """Assemble the P1 drift matrix K_ij = int hat_j (v . grad hat_i) dx of
-    the velocity v = B grad(potential), B the pattern's drift map.
+def mesh_pattern(vertices, triangles, drift_map):
+    """The MeshPattern of a triangle mesh, with the drift operator of
+    drift_map, and the slot of each element entry (:func:`element_slots`).
+    """
+    n = vertices.shape[0]
+    keys, slots = element_slots(triangles, n)
+    drift = drift_operator(vertices, triangles, slots, keys.shape[0],
+                           drift_map)
+    return MeshPattern(keys, n, drift), slots
 
-    Fills the data of a CSR matrix on ``pattern`` (a MeshPattern) by one
-    product with its drift operator; potential holds one value per vertex
-    of the pattern.  The local matrix has identical columns, so every
-    column of K sums to zero up to rounding: adding K to a diffusion
-    operator never changes the total mass of the transported species.
+
+def assemble_drift(pattern, potential):
+    """The data of the P1 drift matrix K_ij = int hat_j (v . grad hat_i) dx
+    on ``pattern`` (a MeshPattern), of the velocity v = B grad(potential),
+    B the pattern's drift map.
+
+    One product with the pattern's drift operator; potential holds one
+    value per vertex of the pattern, and ``pattern.matrix`` makes the
+    matrix.  The local matrix has identical columns, so every column of K
+    sums to zero up to rounding: adding K to a diffusion operator never
+    changes the total mass of the transported species.
     """
     potential = np.asarray(potential, dtype=float)
     if potential.shape != (pattern.n,):
         raise AssemblyError("potential must have one value per vertex")
-    return pattern.matrix(pattern.drift @ potential)
+    return pattern.drift @ potential
 
 
 def assemble_interface_load(vertices, edges, density):

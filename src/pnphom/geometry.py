@@ -173,7 +173,13 @@ class TemplateCell(_PhaseMesh):
         side coordinate; sides are 'left', 'right', 'bottom', 'top'.  The
         arrays define the periodic pairing left<->right and bottom<->top
         slot by slot.
+
+    The template-level element data of the fine operators
+    (``micro._CellOperators``) are kept here once the first tiling's
+    ``FineDomain`` builds them.
     """
+
+    _cell_operators = None
 
     def __init__(self, spec, vertices, triangles, tri_phase, interface_edges,
                  boundary_edges, side_vertices):
@@ -206,13 +212,21 @@ class PerforatedMesh(_PhaseMesh):
     Vertices shared by cell faces are identified through the template's
     periodic pairs and get their coordinates from one owner cell, so the
     tiling is exact: no tolerance-based stitching.
+
+    ``index``, shape (n^2, nv_template), is the map of the tiling:
+    index[c, v] is the vertex of template vertex v in cell c = b*n + a
+    (column a, row b).  The triangles are index[:, template.triangles] and
+    the interface edges index[:, template.interface_edges], cell by cell,
+    so every fine operator is its template operator summed through this
+    map.
     """
 
-    def __init__(self, template, n, vertices, triangles, tri_phase,
+    def __init__(self, template, n, index, vertices, triangles, tri_phase,
                  interface_edges, boundary_edges):
         self.template = template
         self.n = int(n)
         self.epsilon = 1.0 / float(n)
+        self.index = index
         self.vertices = vertices
         self.triangles = triangles
         self.tri_phase = tri_phase
@@ -606,7 +620,8 @@ def tile_domain(cell, n):
     representatives in ascending order are the global vertices.  Their
     coordinates (a + x, b + y)/n come from the representative's cell, so
     vertices shared between neighboring cells coincide bitwise.
-    Triangles and edges keep the template order, cell by cell.
+    Triangles and edges keep the template order, cell by cell, and the
+    mesh keeps the map of each cell's vertices (``PerforatedMesh.index``).
 
     Parameters
     ----------
@@ -639,7 +654,7 @@ def tile_domain(cell, n):
               | (row[:, None] == 0) & (ey == 0.0).all(axis=1)
               | (row[:, None] == n - 1) & (ey == 1.0).all(axis=1))
     mesh = PerforatedMesh(
-        cell, n, vertices,
+        cell, n, index, vertices,
         index[:, cell.triangles].reshape(-1, 3),
         np.tile(cell.tri_phase, n * n),
         index[:, cell.interface_edges].reshape(-1, 2),

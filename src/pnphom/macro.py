@@ -14,7 +14,7 @@ solver precision and trajectories are directly comparable.
 
 import numpy as np
 
-from .fem import assemble_mass, assemble_stiffness
+from .fem import assemble_mass, assemble_stiffness, mesh_pattern
 from .geometry import UnitCellSpec, build_template_cell
 from .micro import _SpeciesOperators, _Transport
 
@@ -46,9 +46,9 @@ class MacroProblem(_Transport):
         self.M_charge = assemble_mass(v, t)
         mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
         species = _SpeciesOperators(
-            params, v, t, np.arange(v.shape[0]), eff.theta * mass_vec,
+            params, v, np.arange(v.shape[0]), eff.theta * mass_vec,
             assemble_stiffness(v, t, coefficient=eff.A_hom),
-            np.asarray(eff.B_hom))
+            mesh_pattern(v, t, np.asarray(eff.B_hom))[0])
         self._setup(params, gamma, species,
                     assemble_stiffness(v, t, coefficient=eff.theta_eff),
                     (eff.s_bar, mass_vec))

@@ -10,22 +10,28 @@ relation kappa(u) = -eta * gamma(u) through a scaled surface term.
 Discretization: P1 elements, lumped mass in the time derivative, backward
 Euler in increment form, Gummel (Picard) iteration inside each step.  Each
 iterate fills the drift of the previous iterate's potential by one sparse
-product, takes one back-substitution per LU of W/dt + D A with the species
-that share it as its columns (one two-column solve when D_plus ==
-D_minus), then one Poisson solve; the fixed point is the backward Euler
-step.  Mass and the scaled surface charge functional are conserved to
-solver precision at every iterate because every transport operator has
-zero column sums up to rounding; the conservation ledger records both at
-every step together with the discrete weak-form charge identity.
+product into the run's one drift matrix, takes one back-substitution per
+LU of W/dt + D A with the species that share it as its columns (one
+two-column solve when D_plus == D_minus), then one Poisson solve; the
+fixed point is the backward Euler step.  Mass and the scaled surface
+charge functional are conserved to solver precision at every iterate
+because every transport operator has zero column sums up to rounding; the
+conservation ledger records both at every step together with the discrete
+weak-form charge identity.
 
 The stepper (``_Transport``) takes its operators from the caller: the
 species operators (``_SpeciesOperators``: lumped mass weights, species
 stiffness, the drift pattern of a velocity map and the species LUs), the
 Poisson operator, the surface weights and the charge right-hand side.  A
 ``FineDomain`` holds the fine problem's sample-independent part (the tiled
-mesh, its fluid submesh, fluid stiffness and mass, species operators),
+mesh, its fluid vertices, fluid stiffness and mass, species operators),
 built once per eps; ``MicroProblem`` adds the sample's dielectric
-stiffness, surface weights and Poisson LU.  ``macro.MacroProblem``
+stiffness, surface weights and Poisson LU.  Every fine operator is the
+template's, tiled: the fine mesh is n^2 copies of the template cell and
+the fine coefficients are the same on every copy, so each operator is its
+template operator summed over the cells through the tiling's vertex map
+(``_CellOperators``), with the fields evaluated on the template only and
+nothing assembled on the fine triangles.  ``macro.MacroProblem``
 assembles the limit model's operators on the unperforated mesh.
 
 All boundary conditions are natural (insulated system): no exterior flux
@@ -46,13 +52,15 @@ from .fem import (
     _splu,
     assemble_drift,
     assemble_interface_load,
-    assemble_mass,
-    assemble_stiffness,
     cg_solve,
+    element_slots,
+    mesh_pattern,
     newton_solve,
     phase_integrals,
+    tri_geometry,
 )
-from .randomfield import eval_field_eps
+from .geometry import FLUID
+from .randomfield import eval_field_cell
 
 log = logging.getLogger(__name__)
 
@@ -242,32 +250,29 @@ class MicroRunError(RuntimeError):
 
 class _SpeciesOperators:
     """The species side of a transport problem, for one dt, D_plus and
-    D_minus: the species mesh, lumped mass weights, stiffness, the drift
-    pattern and its operator, and the LUs of diag(weights)/dt + D A.
+    D_minus: the species vertices, lumped mass weights, stiffness, the
+    drift pattern and its operator, and the LUs of diag(weights)/dt + D A.
 
     ``groups`` pairs each LU with the species that share it, one LU per
     distinct diffusion coefficient, so one back-substitution takes every
     species of a group as its columns.  Built once and only read by the
     runs that share it.
 
-    vertices, triangles : mesh of the species; ids maps its vertices to the
-        potential's numbering
+    vertices : vertices of the species; ids maps them to the potential's
+        numbering
     weights : lumped mass weights of the time derivative and the masses
     A : species stiffness, scaled per species by D
-    drift_map : (2, 2) tensor applied to grad(potential) to give the drift
-        velocity, or None for the identity
+    pattern : MeshPattern of the species mesh, whose drift operator gives
+        the drift of the velocity map applied to grad(potential)
     """
 
-    def __init__(self, params, vertices, triangles, ids, weights, A,
-                 drift_map):
+    def __init__(self, params, vertices, ids, weights, A, pattern):
         self.built_for = (params.dt, params.D_plus, params.D_minus)
         self.vertices = vertices
         self.ids = ids
         self.weights = weights
         self.A = A
-        # before the LUs, so that the drift operator's transients are freed
-        # before the factors are allocated
-        self.pattern = MeshPattern(vertices, triangles, drift_map)
+        self.pattern = pattern
         dtm = sp.diags(weights).tocsr() / params.dt
         by_D = {}
         for s, D in ((+1, params.D_plus), (-1, params.D_minus)):
@@ -311,6 +316,8 @@ class _Transport:
         self._species = species
         self._A_poisson = A_poisson
         self._surface = surface
+        # the drift matrix of every Gummel iterate, its data refilled in place
+        self._drift = species.pattern.matrix(np.zeros(species.pattern.nnz))
         scale, vec = surface
         self.has_surface = scale > 0.0 and bool(np.any(vec))
 
@@ -414,6 +421,7 @@ class _Transport:
         p = self.params
         species = self._species
         pattern = species.pattern
+        drift = self._drift
         D = {+1: p.D_plus, -1: p.D_minus}
         z = {+1: p.z_plus, -1: p.z_minus}
         u_old = {+1: state.conc_plus, -1: state.conc_minus}
@@ -421,15 +429,15 @@ class _Transport:
         u_new = dict(u_old)
 
         def transport_rhs(s, K):
-            kd = (s * D[s] * p.c * z[s]) * K
+            np.multiply(s * D[s] * p.c * z[s], K, out=drift.data)
             if p.upwind:
-                kd = kd + pattern.upwind_laplacian(kd)
-            return diffusion[s] - pattern.matrix(kd) @ u_new[s]
+                drift.data += pattern.upwind_laplacian(drift.data)
+            return diffusion[s] - drift @ u_new[s]
 
         change = math.inf
         for it in range(1, p.gummel_max + 1):
             # one drift fill for both species: they differ by a factor
-            K = assemble_drift(pattern, state.potential[species.ids]).data
+            K = assemble_drift(pattern, state.potential[species.ids])
             changes = []
             for solve, group in species.groups:
                 steps = solve(np.column_stack([transport_rhs(s, K)
@@ -461,15 +469,20 @@ class _Transport:
 
         Snapshots are taken at step indices closest to a uniform grid of
         n_outputs intervals, always including t = 0 and t_final.  A step
-        failure raises MicroRunError carrying the partial ledger.
+        failure raises MicroRunError carrying the partial ledger; a failed
+        t = 0 Poisson solve is step 0, with an empty ledger and no
+        snapshots.
         """
         p = self.params
-        state = self.initial_condition(initial_spec)
+        ledger = ConservationLedger()
+        try:
+            state = self.initial_condition(initial_spec)
+        except ConvergenceFailure as exc:
+            raise MicroRunError("step 0 failed: %s" % exc, ledger, [])
         n_steps = p.n_steps()
         n_out = min(p.n_outputs, n_steps) if n_steps else 0
         out_idx = sorted(set(int(round(k * n_steps / n_out))
                              for k in range(n_out + 1))) if n_steps else [0]
-        ledger = ConservationLedger()
         snapshots = [state.copy()]
         self.ledger_row(ledger, state, 0)
         for step in range(1, n_steps + 1):
@@ -484,66 +497,126 @@ class _Transport:
         return snapshots, ledger
 
 
+class _CellOperators:
+    """The template-level part of the fine operators, shared by every tiling
+    of one template.
+
+    In cell (a, b) of the eps = 1/n tiling, x = (a + y)/n for template
+    point y.  A P1 stiffness and the drift operator do not change under
+    that similarity, the mass scales by eps^2 and an interface load by eps,
+    and the fine coefficient at y is field(T(y) omega, n y mod 1) in every
+    cell (``randomfield.eval_field_cell``).  So each fine operator is its
+    template operator summed over the cells through the tiling's map
+    (``PerforatedMesh.index``), and the element data below are all it needs.
+
+    full, full_slots : the template's P1 pattern and the slot of each
+        element entry (t, i, j) in it
+    grad_products : grad_i . grad_j per template triangle, (nt, 3, 3)
+    fluid_ids : template vertices of the fluid submesh, ascending
+    fluid : the fluid submesh's pattern, with the drift operator
+    stiffness, mass : fluid stiffness and mass data on ``fluid``
+    """
+
+    def __init__(self, template):
+        nv = template.n_vertices
+        keys, self.full_slots = element_slots(template.triangles, nv)
+        self.full = MeshPattern(keys, nv)
+        areas, grads = tri_geometry(template.vertices, template.triangles)
+        self.grad_products = np.einsum("tid,tjd->tij", grads, grads)
+        self.fluid_ids, tris, _ = template.fluid_submesh()
+        self.fluid, slots = mesh_pattern(template.vertices[self.fluid_ids],
+                                         tris, None)
+        fluid = template.tri_phase == FLUID
+        local = self.grad_products[fluid] * areas[fluid, None, None]
+        self.stiffness = np.bincount(slots, local.ravel())
+        mass = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None] * areas[
+            fluid, None, None]
+        self.mass = np.bincount(slots, mass.ravel())
+
+    @classmethod
+    def of(cls, template):
+        """The cell operators of a template, built on first use and kept on
+        it; two threads that race build them twice, to equal arrays."""
+        if template._cell_operators is None:
+            template._cell_operators = cls(template)
+        return template._cell_operators
+
+
+def _tile(slots, data):
+    """Data on a template pattern, summed over the cells through slots."""
+    return np.bincount(slots.ravel(), np.tile(data, slots.shape[0]))
+
+
 class FineDomain:
     """The part of a fine problem that does not depend on the sample.
 
-    The tiled mesh, its fluid submesh, the fluid stiffness ``A_fluid``, the
-    charge mass ``M_charge`` and its lumped weights ``mass_vec``, and the
+    The tiled mesh, its fluid vertices, the fluid stiffness ``A_fluid``,
+    the charge mass ``M_charge`` and its lumped weights ``mass_vec``, the
     species operators (drift pattern and operator, species LUs) for the
-    given params' dt, D_plus and D_minus.  Built once per eps and only read
+    given params' dt, D_plus and D_minus, and the full pattern that the
+    samples' dielectric stiffness fills.  Built once per eps and only read
     by the runs that share it.
+
+    Every operator is the template's, tiled (``_CellOperators``): each
+    pattern is one unique over the tiled template keys, each matrix one
+    bincount of the tiled template data, and no fine triangle is
+    assembled.
     """
 
     def __init__(self, mesh, params):
         self.mesh = mesh
-        self.fluid_ids, self.fluid_tris, _ = mesh.fluid_submesh()
+        self.cell = _CellOperators.of(mesh.template)
+        tiled = mesh.index[:, self.cell.fluid_ids]
+        # the fluid vertices, numbered as mesh.fluid_submesh() numbers them
+        self.fluid_ids, local = np.unique(tiled, return_inverse=True)
         self.fluid_vertices = mesh.vertices[self.fluid_ids]
-        self.A_fluid = assemble_stiffness(self.fluid_vertices, self.fluid_tris)
-        self.M_charge = assemble_mass(self.fluid_vertices, self.fluid_tris)
+        fluid, slots = self.cell.fluid.tiled(local.reshape(tiled.shape))
+        self.A_fluid = fluid.assembled(_tile(slots, self.cell.stiffness))
+        self.M_charge = fluid.assembled(_tile(slots, self.cell.mass)
+                                        / mesh.n ** 2)
         self.mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
+        self.full, self.full_slots = self.cell.full.tiled(mesh.index)
         self.species = _SpeciesOperators(
-            params, self.fluid_vertices, self.fluid_tris, self.fluid_ids,
-            self.mass_vec, self.A_fluid, None)
+            params, self.fluid_vertices, self.fluid_ids, self.mass_vec,
+            self.A_fluid, fluid)
 
 
 class MicroProblem(_Transport):
     """Assembled fine-scale problem for one (mesh, params, fields, omega).
 
     ``mesh`` is a FineDomain, shared by the runs of one eps, or a tiled mesh,
-    which gets a FineDomain of its own.  A domain built for another dt,
-    D_plus or D_minus raises ValueError.  Only the dielectric stiffness,
-    the surface weights and the Poisson factorization depend on omega and
-    are built here; the drift matrix is refilled on the domain's pattern at
+    which gets a FineDomain of its own; the problem keeps it as ``domain``.
+    A domain built for another dt, D_plus or D_minus raises ValueError.
+    Only the dielectric stiffness, the surface weights and the Poisson
+    factorization depend on omega and are built here, from the fields on
+    the template; the drift matrix is refilled on the domain's pattern at
     every Gummel iterate from the current potential.
     """
 
     def __init__(self, mesh, params, fields, omega):
         domain = mesh if isinstance(mesh, FineDomain) else FineDomain(
             mesh, params)
-        mesh = domain.mesh
-        self.mesh = mesh
+        self.domain = domain
         self.fields = fields
         self.omega = np.asarray(omega, dtype=float)
-        self.eps = mesh.epsilon
-        self.fluid_ids = domain.fluid_ids
-        self.fluid_tris = domain.fluid_tris
-        self.fluid_vertices = domain.fluid_vertices
-        self.A_fluid = domain.A_fluid
-        self.M_charge = domain.M_charge
-        self.mass_vec = domain.mass_vec
-        self.nv_global = mesh.vertices.shape[0]
+        self.eps = domain.mesh.epsilon
+        cell = domain.cell
+        template, n = domain.mesh.template, domain.mesh.n
 
-        # the fields at (T(x/eps) omega, x/eps^2); rho_f on phase 0 (fluid),
-        # rho_s on phase 1 (solid)
-        omega, eps = self.omega, self.eps
-        self.A_theta = assemble_stiffness(
-            mesh.vertices, mesh.triangles, phase_integrals(
-                mesh.vertices, mesh.triangles, mesh.tri_phase,
-                [partial(eval_field_eps, f, omega, eps=eps)
-                 for f in (fields.rho_f, fields.rho_s)]))
-        self.surface_w = assemble_interface_load(
-            mesh.vertices, mesh.interface_edges,
-            partial(eval_field_eps, fields.eta, omega, eps=eps))
+        # the fields at (T(y) omega, n y mod 1) on the template, the same in
+        # every cell; rho_f on phase 0 (fluid), rho_s on phase 1 (solid)
+        csum = phase_integrals(
+            template.vertices, template.triangles, template.tri_phase,
+            [partial(eval_field_cell, f, self.omega, n=n)
+             for f in (fields.rho_f, fields.rho_s)])
+        local = cell.grad_products * csum[:, None, None]
+        self.A_theta = domain.full.assembled(_tile(
+            domain.full_slots, np.bincount(cell.full_slots, local.ravel())))
+        load = assemble_interface_load(
+            template.vertices, template.interface_edges,
+            partial(eval_field_cell, fields.eta, self.omega, n=n))
+        self.surface_w = self.eps * np.bincount(domain.mesh.index.ravel(),
+                                                np.tile(load, n * n))
         self._setup(params, fields.gamma, domain.species, self.A_theta,
                     (self.eps, self.surface_w))
 
@@ -552,11 +625,20 @@ class MicroProblem(_Transport):
     run = _Transport.run
     solve_poisson = _Transport.solve_poisson
 
+    @property
+    def fluid_ids(self):
+        return self.domain.fluid_ids
+
+    @property
+    def mass_vec(self):
+        return self.domain.mass_vec
+
     def charge_rhs(self, state):
         p = self.params
-        q_f = p.F_const * (p.z_plus * (self.M_charge @ state.conc_plus)
-                           - p.z_minus * (self.M_charge @ state.conc_minus))
-        b = np.zeros(self.nv_global)
+        M = self.domain.M_charge
+        q_f = p.F_const * (p.z_plus * (M @ state.conc_plus)
+                           - p.z_minus * (M @ state.conc_minus))
+        b = np.zeros(self.domain.mesh.n_vertices)
         b[self.fluid_ids] = q_f
         return b
 

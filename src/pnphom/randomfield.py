@@ -250,3 +250,23 @@ def eval_field_eps(field, omega, x, eps):
     w_arg = shift(omega, x / eps)
     y_arg = np.mod(x / (eps * eps), 1.0)
     return field.evaluate(w_arg, y_arg)
+
+
+def eval_field_cell(field, omega, y, n):
+    """Evaluate the two-scale field of the eps = 1/n tiling at template
+    point y of any cell: field(T(y) w, n y mod 1).
+
+    At x = (a + y)/n in cell (a, b), x/eps = a + y and x/eps^2 = n (a + y),
+    so :func:`eval_field_eps` takes this value in every cell, up to
+    rounding: the fine coefficient is the same on every copy of the
+    template.
+
+    Parameters
+    ----------
+    field : CoefficientField
+    omega : (2,) array
+    y : (m, 2) array of template points
+    n : int, the number of cells per direction
+    """
+    y = np.asarray(y, dtype=float)
+    return field.evaluate(shift(omega, y), np.mod(n * y, 1.0))

@@ -159,18 +159,19 @@ class MacroReference:
             shape=(pts.shape[0], self.mesh.vertices.shape[0]))
 
 
-def compare_trajectories(problem, snapshots, reference):
+def compare_trajectories(problem, snapshots, reference, interp):
     """Relative L2 errors of a fine trajectory against the reference.
 
     Returns (final_errors, spacetime_errors), dicts keyed by field name.
     The fine and reference snapshot grids must agree (same stepper
     parameters); errors are integrated over the fluid vertices with the
     lumped fluid measure and normalized by the reference norm there.
+    interp is ``reference.interpolation_matrix(problem.fluid_vertices)``,
+    which every run of one eps shares.
     """
     if len(snapshots) != len(reference.snapshots):
         raise ValueError("snapshot grids differ: %d vs %d"
                          % (len(snapshots), len(reference.snapshots)))
-    interp = reference.interpolation_matrix(problem.fluid_vertices)
     w = problem.mass_vec
     tw = _trapezoid_weights(reference.times)
     final, spacetime = {}, {}
@@ -190,36 +191,42 @@ def compare_trajectories(problem, snapshots, reference):
 
 
 class _SweepDomains:
-    """The FineDomain of each eps of a sweep, built by the first run of that
-    eps and dropped when its last run has taken it, so that one eps's
-    operators are released before the next eps's are built.
+    """The FineDomain of each eps of a sweep and the reference's
+    interpolation matrix on its fluid vertices, built by the first run of
+    that eps and dropped when its last run has taken them, so that one
+    eps's operators are released before the next eps's are built.
 
     ns holds the n of every run.  A build takes the lock of its eps, so the
     runs of a thread pool wait for one build and then share it.
     """
 
-    def __init__(self, template, params, ns):
+    def __init__(self, template, params, reference, ns):
         self._template = template
         self._params = params
+        self._reference = reference
         self._pending = Counter(ns)
         self._built = {}
         self._locks = {n: threading.Lock() for n in self._pending}
 
     def take(self, n):
+        """(FineDomain, interpolation matrix) of eps = 1/n."""
         with self._locks[n]:
-            domain = self._built.pop(n, None)
-            if domain is None:
+            built = self._built.pop(n, None)
+            if built is None:
                 domain = FineDomain(tile_domain(self._template, n),
                                     self._params)
+                built = (domain, self._reference.interpolation_matrix(
+                    domain.fluid_vertices))
             self._pending[n] -= 1
             if self._pending[n] > 0:
-                self._built[n] = domain
-        return domain
+                self._built[n] = built
+        return built
 
 
 def _micro_run_row(domains, config, reference, n, omega_index):
     """One fine run on the FineDomain that domains (a _SweepDomains) holds
-    for eps = 1/n; returns a report row dict.
+    for eps = 1/n, compared with reference through the interpolation matrix
+    held with it; returns a report row dict.
 
     The row's equilibrium_residual is the ledger's largest pinned charge
     residual (``ConservationLedger.pinned_charge_residuals``).  Its
@@ -233,11 +240,11 @@ def _micro_run_row(domains, config, reference, n, omega_index):
         row.setdefault(name, float("nan"))
     try:
         omega = sample_omega(config.seed + omega_index).omega
-        problem = MicroProblem(domains.take(n), params, config.fields,
-                               omega)
+        domain, interp = domains.take(n)
+        problem = MicroProblem(domain, params, config.fields, omega)
         snapshots, ledger = problem.run(config.initial)
         final, spacetime = compare_trajectories(problem, snapshots,
-                                                reference)
+                                                reference, interp)
         for name in ERROR_FIELDS:
             row["err_" + name] = final[name]
             row["st_err_" + name] = spacetime[name]
@@ -272,7 +279,8 @@ def run_sweep(config, threads=1):
 
     jobs = [(n, i) for n in config.eps_list
             for i in range(config.n_omega_samples)]
-    domains = _SweepDomains(template, config.pnp, [n for n, _ in jobs])
+    domains = _SweepDomains(template, config.pnp, reference,
+                            [n for n, _ in jobs])
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(

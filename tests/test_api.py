@@ -41,6 +41,9 @@ ALLOWED = {
     # the P1 gradient that the drift operator and the cell correctors'
     # fluxes are checked against
     "tri_gradient",
+    # the fine coefficient at fine-mesh points, that the tiled fine
+    # operators and the fine cell coefficients are checked against
+    "eval_field_eps",
 }
 
 

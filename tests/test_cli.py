@@ -7,7 +7,8 @@ import weakref
 
 import pytest
 
-from pnphom import cli
+from pnphom import cli, micro
+from pnphom.fem import ConvergenceFailure
 
 SMALL = {
     "geometry": {"n_interface_segments": 32, "target_edge_length": 1.0 / 16},
@@ -162,6 +163,57 @@ def test_macro_command_reports_stall(tmp_path):
     lines = open(os.path.join(out, "macro_ledger.csv")).read().splitlines()
     assert lines[0] == "t,mass_plus,mass_minus,pi_eps,min_conc,gummel_iters"
     assert len(lines) == 2  # the t = 0 row only
+    assert "macro_final.csv" not in os.listdir(out)
+
+
+SATURATED = dict(SMALL, gamma={"kind": "saturated", "alpha": 1.0,
+                               "lipschitz": 3.0, "saturation_scale": 0.5})
+
+
+def failing_first_newton(monkeypatch, failures):
+    # the first `failures` Newton solves raise, as a t = 0 Poisson solve
+    # that does not converge would
+    calls = []
+    newton_solve = micro.newton_solve
+
+    def newton(*args, **kwargs):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise ConvergenceFailure("newton failed: forced", 1.0, 25)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(micro, "newton_solve", newton)
+    return calls
+
+
+def test_micro_reports_initial_poisson_failure(tmp_path, monkeypatch):
+    # a failed t = 0 Poisson solve is step 0 of its run: logged with the
+    # empty ledger, and the next sample still runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SATURATED, n_omega_samples=2)))
+    out = str(tmp_path / "micro")
+    failing_first_newton(monkeypatch, 1)
+    rc = run_cli(["micro", "--config", str(path), "--out", out])
+    assert rc == 1
+    names = set(os.listdir(out))
+    first = os.path.join(out, "micro_ledger_eps_1_2_omega_0.csv")
+    assert open(first).read().splitlines() == [
+        "t,mass_plus,mass_minus,pi_eps,min_conc,gummel_iters"]
+    assert "micro_final_eps_1_2_omega_0.csv" not in names
+    assert {"micro_ledger_eps_1_2_omega_1.csv",
+            "micro_final_eps_1_2_omega_1.csv"} <= names
+
+
+def test_macro_reports_initial_poisson_failure(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SATURATED))
+    out = str(tmp_path / "macro")
+    calls = failing_first_newton(monkeypatch, 1)
+    rc = run_cli(["macro", "--config", str(path), "--out", out])
+    assert rc == 1
+    assert len(calls) == 1
+    lines = open(os.path.join(out, "macro_ledger.csv")).read().splitlines()
+    assert lines == ["t,mass_plus,mass_minus,pi_eps,min_conc,gummel_iters"]
     assert "macro_final.csv" not in os.listdir(out)
 
 

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from pnphom.fem import (
     AssemblyError,
     ConvergenceFailure,
-    MeshPattern,
     _splu,
     assemble_drift,
     assemble_interface_load,
@@ -17,6 +16,7 @@ from pnphom.fem import (
     assemble_stiffness,
     cg_solve,
     edge_quadrature_points,
+    mesh_pattern,
     newton_solve,
     phase_integrals,
     tri_geometry,
@@ -156,6 +156,28 @@ def test_stiffness_tensor_coefficient():
     v = cell.vertices[:, 1].copy()
     assert u.dot(A @ u) == pytest.approx(2.0, abs=1e-10)
     assert v.dot(A @ v) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_stiffness_tensor_sums_like_einsum(fluid_template):
+    # the tensor branch sums the four (d, e) terms of grad_i . a grad_j in
+    # einsum's order, so it is bitwise the einsum contraction
+    cell = fluid_template[0]
+    verts, tris = cell.vertices, cell.triangles
+    areas, grads = tri_geometry(verts, tris)
+    a = np.random.default_rng(3).standard_normal((len(tris), 2, 2))
+    a = a + a.transpose(0, 2, 1)
+    local = (np.einsum("tid,tde,tje->tij", grads, a, grads)
+             * areas[:, None, None])
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    ref = sp.coo_matrix((local.ravel(), (rows, cols)),
+                        shape=(len(verts), len(verts))).tocsr()
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    A = assemble_stiffness(verts, tris, a)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
 
 
 def test_stiffness_varying_coefficient_exact():
@@ -331,8 +353,8 @@ def _dense_upwind(K):
 
 def test_drift_fill_matches_element_formula(drift_mesh):
     verts, tris, potential = drift_mesh
-    pattern = MeshPattern(verts, tris, None)
-    K = assemble_drift(pattern, potential)
+    pattern, _ = mesh_pattern(verts, tris, None)
+    K = pattern.matrix(assemble_drift(pattern, potential))
     dense = _dense_drift(verts, tris, tri_gradient(verts, tris, potential))
     assert K.nnz == pattern.nnz
     assert np.abs(K.toarray() - dense).max() <= 1e-15
@@ -365,11 +387,11 @@ def test_drift_fill_rounding_at_any_scale(drift_mesh):
     # rounding of its own terms, whatever the size of the entries
     verts, tris, _ = drift_mesh
     potential = np.random.default_rng(7).standard_normal(len(verts))
-    pattern = MeshPattern(verts, tris, None)
+    pattern, _ = mesh_pattern(verts, tris, None)
     K = assemble_drift(pattern, potential)
     dense = _dense_drift(verts, tris, tri_gradient(verts, tris, potential))
     slots = (pattern.rows, pattern.indices)
-    gap = np.abs(K.data - dense[slots])
+    gap = np.abs(K - dense[slots])
     scale = _drift_rounding_scale(verts, tris, potential)[slots]
     assert np.all(gap <= 4.0 * np.finfo(float).eps * scale)
 
@@ -382,16 +404,18 @@ def test_drift_map_orientation(drift_mesh):
     velocity = tri_gradient(verts, tris, potential) @ B.T
     dense = _dense_drift(verts, tris, velocity)
     scale = np.abs(dense).max()
-    K = assemble_drift(MeshPattern(verts, tris, B), potential).toarray()
+    pattern, _ = mesh_pattern(verts, tris, B)
+    K = pattern.matrix(assemble_drift(pattern, potential)).toarray()
     assert np.abs(K - dense).max() <= 1e-14 * scale
-    K_T = assemble_drift(MeshPattern(verts, tris, B.T), potential).toarray()
+    pattern, _ = mesh_pattern(verts, tris, B.T)
+    K_T = pattern.matrix(assemble_drift(pattern, potential)).toarray()
     assert np.abs(K_T - dense).max() >= 0.1 * scale
 
 
 def test_upwind_laplacian_on_pattern(drift_mesh):
     verts, tris, potential = drift_mesh
-    pattern = MeshPattern(verts, tris, None)
-    K = assemble_drift(pattern, potential)
+    pattern, _ = mesh_pattern(verts, tris, None)
+    K = pattern.matrix(assemble_drift(pattern, potential))
     L = pattern.matrix(pattern.upwind_laplacian(K.data)).toarray()
     assert np.abs(L - _dense_upwind(K)).max() <= 1e-15
     assert np.abs(L.sum(axis=0)).max() <= 1e-15

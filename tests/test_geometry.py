@@ -193,6 +193,26 @@ def test_tiling_is_stitched(request, cell_name, n):
     assert np.array_equal(edges[uses == 1], np.unique(border, axis=0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiling_map_gives_the_mesh(coarse_cell, n):
+    # index[c, v] is the vertex of template vertex v in cell c = b n + a:
+    # it reproduces the triangles and interface edges cell by cell, and
+    # the vertex sits at (a + y, b + y) / n
+    mesh = tile_domain(coarse_cell, n)
+    index = mesh.index
+    assert index.shape == (n * n, coarse_cell.n_vertices)
+    assert np.array_equal(index[:, coarse_cell.triangles].reshape(-1, 3),
+                          mesh.triangles)
+    assert np.array_equal(
+        index[:, coarse_cell.interface_edges].reshape(-1, 2),
+        mesh.interface_edges)
+    assert np.array_equal(np.unique(index), np.arange(mesh.n_vertices))
+    cells = np.arange(n * n)
+    offsets = np.column_stack([cells % n, cells // n])[:, None, :]
+    expected = (offsets + coarse_cell.vertices[None]) / n
+    assert np.abs(mesh.vertices[index] - expected).max() <= 1e-15
+
+
 def test_tiling_boundary_classes(coarse_cell):
     mesh = tile_domain(coarse_cell, 2)
     p = mesh.vertices

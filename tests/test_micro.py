@@ -1,5 +1,6 @@
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,11 +8,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pnphom.effective import EffectiveCoefficients, compute_effective
+from pnphom import fem, micro, randomfield
 from pnphom.fem import (
     ConvergenceFailure,
     MeshPattern,
     assemble_drift,
+    assemble_interface_load,
     assemble_mass,
+    assemble_stiffness,
+    mesh_pattern,
+    phase_integrals,
 )
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 from pnphom.macro import MacroProblem, equilibrium_residual, macro_mesh
@@ -25,13 +31,23 @@ from pnphom.micro import (
     PnpParams,
     write_snapshot,
 )
-from pnphom.randomfield import CoefficientField, GammaFunction, sample_omega
+from pnphom.randomfield import (
+    CoefficientField,
+    GammaFunction,
+    eval_field_eps,
+    sample_omega,
+)
 
 
 @pytest.fixture(scope="module")
-def coarse_mesh():
-    spec = UnitCellSpec(n_interface_segments=32, target_edge_length=1.0 / 16)
-    return tile_domain(build_template_cell(spec), 2)
+def coarse_template():
+    return build_template_cell(
+        UnitCellSpec(n_interface_segments=32, target_edge_length=1.0 / 16))
+
+
+@pytest.fixture(scope="module")
+def coarse_mesh(coarse_template):
+    return tile_domain(coarse_template, 2)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +140,8 @@ def test_initial_gaussian_mass_oracle(coarse_mesh):
     prob = MicroProblem(coarse_mesh, PnpParams(), wiggly_fields(),
                         sample_omega(2).omega)
     state = prob.initial_condition((bump, 0.0))
-    oracle = midpoint_integral(prob.fluid_vertices, prob.fluid_tris,
+    oracle = midpoint_integral(prob.domain.fluid_vertices,
+                               coarse_mesh.fluid_submesh()[1],
                                state.conc_plus)
     assert prob.mass(state.conc_plus) == pytest.approx(oracle, rel=1e-12)
     assert prob.mass(state.conc_minus) == 0.0
@@ -225,9 +242,9 @@ def test_zero_drift_matches_diffusion_oracle(coarse_mesh):
                         sample_omega(4).omega)
     snaps, ledger = prob.run((bump, bump))
     B_plus = (sp.diags(prob.mass_vec) / params.dt
-              + params.D_plus * prob.A_fluid)
+              + params.D_plus * prob.domain.A_fluid)
     B_minus = (sp.diags(prob.mass_vec) / params.dt
-               + params.D_minus * prob.A_fluid)
+               + params.D_minus * prob.domain.A_fluid)
     lu_p = spla.splu(B_plus.tocsc())
     lu_m = spla.splu(B_minus.tocsc())
     u_p = snaps[0].conc_plus.copy()
@@ -260,13 +277,15 @@ def test_step_matches_backward_euler_oracle(coarse_mesh):
     state = prob.initial_condition((bump, 0.9))
     u_old = {+1: state.conc_plus.copy(), -1: state.conc_minus.copy()}
     prob.step_nernst_planck(state)
-    pattern = MeshPattern(prob.fluid_vertices, prob.fluid_tris, None)
-    K = assemble_drift(pattern, state.potential[prob.fluid_ids])
+    pattern, _ = mesh_pattern(prob.domain.fluid_vertices,
+                              coarse_mesh.fluid_submesh()[1], None)
+    K = pattern.matrix(assemble_drift(pattern,
+                                      state.potential[prob.fluid_ids]))
     W = sp.diags(prob.mass_vec) / params.dt
     for s, D, z, u in ((+1, params.D_plus, params.z_plus, state.conc_plus),
                        (-1, params.D_minus, params.z_minus,
                         state.conc_minus)):
-        B = W + D * prob.A_fluid + (s * D * params.c * z) * K
+        B = W + D * prob.domain.A_fluid + (s * D * params.c * z) * K
         ref = spla.spsolve(sp.csc_matrix(B), W @ u_old[s])
         assert np.abs(u - ref).max() <= 1e-8 * np.abs(ref).max()
 
@@ -331,6 +350,107 @@ def test_fine_domain_is_shared_and_checked(coarse_mesh):
     with pytest.raises(ValueError, match="D_minus"):
         MicroProblem(domain, PnpParams(D_minus=0.5, t_final=0.04),
                      wiggly_fields(), omega)
+
+
+def limit_general_fields():
+    # the benchmark's general-mode fields: y- and w-modes in both phases
+    return MicroCoefficients(
+        rho_f=CoefficientField("rho_f", 2.0, y_modes=(((1, 0), 0.3),),
+                               w_modes=(((1, 0), 0.6),), floor=0.5),
+        rho_s=CoefficientField("rho_s", 2.0, y_modes=(((0, 1), 0.3),),
+                               w_modes=(((1, 0), 0.6),), floor=0.5),
+        eta=CoefficientField("eta", 1.0),
+        gamma=GammaFunction("linear", alpha=1.0))
+
+
+def _same_operator(tiled, direct):
+    assert np.array_equal(tiled.indptr, direct.indptr)
+    assert np.array_equal(tiled.indices, direct.indices)
+    gap = np.abs(tiled.data - direct.data).max()
+    assert gap <= 1e-12 * np.abs(direct.data).max()
+
+
+@pytest.mark.parametrize("make_fields", [wiggly_fields, limit_general_fields],
+                         ids=["wiggly", "limit-general"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiled_operators_match_fine_assembly(coarse_template, n,
+                                             make_fields):
+    # every fine operator is the template's, tiled: the same pattern as
+    # the assembly on the fine triangles with the fine coefficient
+    # field(T(x/eps) omega, x/eps^2), and the same values up to rounding
+    mesh = tile_domain(coarse_template, n)
+    fields = make_fields()
+    omega = sample_omega(3).omega
+    prob = MicroProblem(mesh, PnpParams(), fields, omega)
+    domain = prob.domain
+    ids, tris, _ = mesh.fluid_submesh()
+    assert np.array_equal(domain.fluid_ids, ids)
+    verts = mesh.vertices[ids]
+    _same_operator(domain.A_fluid, assemble_stiffness(verts, tris))
+    _same_operator(domain.M_charge, assemble_mass(verts, tris))
+    pattern, _ = mesh_pattern(verts, tris, None)
+    tiled = domain.species.pattern
+    for name in ("indices", "indptr", "transpose_slots", "diagonal_slots"):
+        assert np.array_equal(getattr(tiled, name), getattr(pattern, name))
+    _same_operator(tiled.drift, pattern.drift)
+    eps = mesh.epsilon
+    _same_operator(prob.A_theta, assemble_stiffness(
+        mesh.vertices, mesh.triangles, phase_integrals(
+            mesh.vertices, mesh.triangles, mesh.tri_phase,
+            [partial(eval_field_eps, f, omega, eps=eps)
+             for f in (fields.rho_f, fields.rho_s)])))
+    surface_w = assemble_interface_load(
+        mesh.vertices, mesh.interface_edges,
+        partial(eval_field_eps, fields.eta, omega, eps=eps))
+    assert np.array_equal(prob.surface_w != 0.0, surface_w != 0.0)
+    assert (np.abs(prob.surface_w - surface_w).max()
+            <= 1e-12 * np.abs(surface_w).max())
+
+
+def test_fine_set_up_assembles_no_fine_triangle(coarse_template,
+                                               monkeypatch):
+    # the fine set-up evaluates and assembles on the template only: no
+    # assembly or field evaluation gets an array of fine-mesh size
+    mesh = tile_domain(coarse_template, 3)
+    limit = 3 * coarse_template.n_triangles
+    fine_calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            if any(isinstance(a, np.ndarray) and a.ndim and
+                   a.shape[0] > limit for a in args):
+                fine_calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (fem, randomfield, micro):
+        for name in ("assemble_stiffness", "assemble_mass",
+                     "eval_field_eps"):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, recording(name, fn))
+    domain = FineDomain(mesh, PnpParams())
+    MicroProblem(domain, PnpParams(), wiggly_fields(), sample_omega(1).omega)
+    assert fine_calls == []
+
+
+def test_run_builds_no_matrix_per_iterate(coarse_mesh, monkeypatch):
+    # the drift matrix of every Gummel iterate is one CSR matrix of the
+    # problem, its data refilled in place
+    prob = MicroProblem(coarse_mesh, PnpParams(D_minus=0.5, t_final=0.04,
+                                               upwind=True),
+                        wiggly_fields(), sample_omega(5).omega)
+    built = []
+    matrix = MeshPattern.matrix
+
+    def recording(pattern, data):
+        built.append(data.shape)
+        return matrix(pattern, data)
+
+    monkeypatch.setattr(MeshPattern, "matrix", recording)
+    snaps, ledger = prob.run((bump, 0.9))
+    assert sum(row["gummel_iters"] for row in ledger.rows) > 0
+    assert built == []
 
 
 def test_upwind_flag_preserves_mass(coarse_mesh):

@@ -179,7 +179,8 @@ def test_compare_identical_constant_trajectories():
                                "eta": {"base": 1.0}})
     micro, ref = run_pair(cfg)
     snaps, _ = micro.run((1.0, 1.0))
-    final, spacetime = compare_trajectories(micro, snaps, ref)
+    interp = ref.interpolation_matrix(micro.domain.fluid_vertices)
+    final, spacetime = compare_trajectories(micro, snaps, ref, interp)
     for name in ("conc_plus", "conc_minus"):
         assert final[name] <= 1e-12
         assert spacetime[name] <= 1e-12
@@ -189,8 +190,9 @@ def test_compare_rejects_mismatched_grids():
     cfg = small_config()
     micro, ref = run_pair(cfg)
     snaps, _ = micro.run(cfg.initial)
+    interp = ref.interpolation_matrix(micro.domain.fluid_vertices)
     with pytest.raises(ValueError):
-        compare_trajectories(micro, snaps[:-1], ref)
+        compare_trajectories(micro, snaps[:-1], ref, interp)
 
 
 def test_micro_run_row_failure_status():
@@ -203,8 +205,8 @@ def test_micro_run_row_failure_status():
                         GammaFunction("linear", alpha=1.0))
     snaps, ledger = prob.run((1.0, 1.0))
     bad_ref = MacroReference(mesh, snaps[:-1], ledger, cfg.pnp)
-    row = _micro_run_row(sweep._SweepDomains(template, cfg.pnp, [2]), cfg,
-                         bad_ref, 2, 0)
+    row = _micro_run_row(sweep._SweepDomains(template, cfg.pnp, bad_ref,
+                                             [2]), cfg, bad_ref, 2, 0)
     assert row["status"] == "failed:ValueError"
     assert np.isnan(row["err_conc_plus"])
     assert row["wall_time"] > 0.0
@@ -233,23 +235,33 @@ def test_diverging_fine_run_is_a_failed_row(monkeypatch):
 
 def test_fine_domain_built_once_per_eps(monkeypatch):
     # D_plus == D_minus: one species LU per eps, shared by its runs, and
-    # one Poisson LU per run
+    # one Poisson LU per run; one limit-field interpolation matrix per eps
     cfg = small_config(eps_list=[2, 3])
     sizes = []
     splu = spla.splu
+    interpolated = []
+    interpolation_matrix = MacroReference.interpolation_matrix
 
     def recording_splu(A, *args, **kwargs):
         sizes.append(A.shape[0])
         return splu(A, *args, **kwargs)
 
+    def recording_interpolation(reference, points):
+        interpolated.append(len(points))
+        return interpolation_matrix(reference, points)
+
     monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(MacroReference, "interpolation_matrix",
+                        recording_interpolation)
     report, _ = run_sweep(cfg)
     assert all(r["status"] == "ok" for r in report.data_rows())
+    assert len(interpolated) == len(cfg.eps_list)
     template = build_template_cell(cfg.geometry)
     for n in cfg.eps_list:
         mesh = tile_domain(template, n)
         n_fluid = len(mesh.fluid_submesh()[0])
         assert sizes.count(n_fluid) == 1
+        assert interpolated.count(n_fluid) == 1
         assert sizes.count(mesh.n_vertices) == cfg.n_omega_samples
 
 
@@ -259,15 +271,20 @@ def test_sweep_domains_one_build_per_eps_under_threads(monkeypatch):
     # its last run
     builds = []
 
-    def fake_domain(mesh, params):
-        time.sleep(0.01)  # a build releases the interpreter lock
-        builds.append(mesh)
-        return object()
+    class FakeDomain:
+        def __init__(self, mesh, params):
+            time.sleep(0.01)  # a build releases the interpreter lock
+            builds.append(mesh)
+            self.fluid_vertices = mesh
+
+    class FakeReference:
+        def interpolation_matrix(self, points):
+            return points
 
     monkeypatch.setattr(sweep, "tile_domain", lambda template, n: n)
-    monkeypatch.setattr(sweep, "FineDomain", fake_domain)
+    monkeypatch.setattr(sweep, "FineDomain", FakeDomain)
     ns = [n for n in (2, 3, 4) for _ in range(40)]
-    domains = sweep._SweepDomains(None, None, ns)
+    domains = sweep._SweepDomains(None, None, FakeReference(), ns)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -278,7 +295,8 @@ def test_sweep_domains_one_build_per_eps_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert sorted(builds) == [2, 3, 4]
     for n in (2, 3, 4):
-        assert len({id(d) for d, m in zip(taken, ns) if m == n}) == 1
+        assert len({id(d) for (d, _), m in zip(taken, ns) if m == n}) == 1
+    assert all(interp == n for (_, interp), n in zip(taken, ns))
     assert domains._built == {}
 
 
