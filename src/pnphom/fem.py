@@ -231,36 +231,6 @@ def element_slots(triangles, n):
     return keys, slots.ravel()
 
 
-def drift_operator(vertices, triangles, slots, nnz, drift_map):
-    """The drift operator T of a mesh's pattern, sparse (nnz, n).
-
-    T @ phi is the data of the drift matrix of the velocity
-    v = B grad(phi), with B = drift_map (a (2, 2) tensor, or None for the
-    identity); slots and nnz are the pattern's, as :func:`element_slots`
-    gives them.
-    """
-    # K_local[t, i, j] = int_T hat_j (v . grad hat_i) = (area/3) g_i . v,
-    # the same for every j, with v = sum_k phi_k B g_k.  So T = S C: row
-    # (t, i) of C holds (area/3) g_i^T B g_k at column triangles[t, k],
-    # and S sums row (t, i) onto the slots of (t, i, j) for each j
-    triangles = np.asarray(triangles)
-    areas, grads = tri_geometry(vertices, triangles)
-    bgrads = grads if drift_map is None else grads @ np.asarray(
-        drift_map, dtype=float).T
-    local = (np.einsum("tid,tkd->tik", grads, bgrads)
-             * (areas / 3.0)[:, None, None])
-    nt = triangles.shape[0]
-    triples = np.arange(0, 9 * nt + 1, 3, dtype=np.int32)
-    C = sp.csr_matrix((local.ravel(), np.tile(triangles, (1, 3)).ravel()
-                       .astype(np.int32), triples),
-                      shape=(3 * nt, vertices.shape[0]))
-    S = sp.csr_matrix((np.ones(9 * nt), slots.astype(np.int32), triples),
-                      shape=(3 * nt, nnz)).T.tocsr()
-    drift = S @ C
-    drift.sort_indices()
-    return drift
-
-
 class MeshPattern:
     """Fixed CSR pattern of the P1 vertex graph of a triangle mesh, and the
     drift operator on it.
@@ -268,7 +238,7 @@ class MeshPattern:
     keys : sorted keys row * n + col of the pattern's entries, as
         :func:`element_slots` gives them; they make the CSR
         ``indices``/``indptr``
-    drift : None, or the drift operator T (:func:`drift_operator`), whose
+    drift : None, or the drift operator, the sparse (nnz, n) matrix T whose
         product T @ phi is the data of the drift matrix on the pattern
 
     :func:`mesh_pattern` builds the pattern of a mesh from its triangles;
@@ -363,13 +333,32 @@ class MeshPattern:
 
 
 def mesh_pattern(vertices, triangles, drift_map):
-    """The MeshPattern of a triangle mesh, with the drift operator of
-    drift_map, and the slot of each element entry (:func:`element_slots`).
+    """The MeshPattern of a triangle mesh, and the slot of each element
+    entry (:func:`element_slots`).
+
+    Its drift operator T is that of the velocity v = B grad(phi), with
+    B = drift_map (a (2, 2) tensor, or None for the identity).
     """
+    triangles = np.asarray(triangles)
     n = vertices.shape[0]
     keys, slots = element_slots(triangles, n)
-    drift = drift_operator(vertices, triangles, slots, keys.shape[0],
-                           drift_map)
+    # K_local[t, i, j] = int_T hat_j (v . grad hat_i) = (area/3) g_i . v,
+    # the same for every j, with v = sum_k phi_k B g_k.  So T = S C: row
+    # (t, i) of C holds (area/3) g_i^T B g_k at column triangles[t, k],
+    # and S sums row (t, i) onto the slots of (t, i, j) for each j
+    areas, grads = tri_geometry(vertices, triangles)
+    bgrads = grads if drift_map is None else grads @ np.asarray(
+        drift_map, dtype=float).T
+    local = (np.einsum("tid,tkd->tik", grads, bgrads)
+             * (areas / 3.0)[:, None, None])
+    nt = triangles.shape[0]
+    triples = np.arange(0, 9 * nt + 1, 3, dtype=np.int32)
+    C = sp.csr_matrix((local.ravel(), np.tile(triangles, (1, 3)).ravel()
+                       .astype(np.int32), triples), shape=(3 * nt, n))
+    S = sp.csr_matrix((np.ones(9 * nt), slots.astype(np.int32), triples),
+                      shape=(3 * nt, keys.shape[0])).T.tocsr()
+    drift = S @ C
+    drift.sort_indices()
     return MeshPattern(keys, n, drift), slots
 
 

@@ -170,15 +170,15 @@ SATURATED = dict(SMALL, gamma={"kind": "saturated", "alpha": 1.0,
                                "lipschitz": 3.0, "saturation_scale": 0.5})
 
 
-def failing_first_newton(monkeypatch, failures):
-    # the first `failures` Newton solves raise, as a t = 0 Poisson solve
-    # that does not converge would
+def failing_first_newton(monkeypatch):
+    # the first Newton solve, the first run's t = 0 Poisson solve, raises
+    # as one that does not converge would
     calls = []
     newton_solve = micro.newton_solve
 
     def newton(*args, **kwargs):
         calls.append(1)
-        if len(calls) <= failures:
+        if len(calls) == 1:
             raise ConvergenceFailure("newton failed: forced", 1.0, 25)
         return newton_solve(*args, **kwargs)
 
@@ -192,7 +192,7 @@ def test_micro_reports_initial_poisson_failure(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(SATURATED, n_omega_samples=2)))
     out = str(tmp_path / "micro")
-    failing_first_newton(monkeypatch, 1)
+    failing_first_newton(monkeypatch)
     rc = run_cli(["micro", "--config", str(path), "--out", out])
     assert rc == 1
     names = set(os.listdir(out))
@@ -208,7 +208,7 @@ def test_macro_reports_initial_poisson_failure(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SATURATED))
     out = str(tmp_path / "macro")
-    calls = failing_first_newton(monkeypatch, 1)
+    calls = failing_first_newton(monkeypatch)
     rc = run_cli(["macro", "--config", str(path), "--out", out])
     assert rc == 1
     assert len(calls) == 1

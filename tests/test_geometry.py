@@ -197,7 +197,7 @@ def test_tiling_is_stitched(request, cell_name, n):
 def test_tiling_map_gives_the_mesh(coarse_cell, n):
     # index[c, v] is the vertex of template vertex v in cell c = b n + a:
     # it reproduces the triangles and interface edges cell by cell, and
-    # the vertex sits at (a + y, b + y) / n
+    # the vertex sits at ((a, b) + y) / n
     mesh = tile_domain(coarse_cell, n)
     index = mesh.index
     assert index.shape == (n * n, coarse_cell.n_vertices)

@@ -7,8 +7,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pnphom.effective import EffectiveCoefficients, compute_effective
 from pnphom import fem, micro, randomfield
+from pnphom.effective import EffectiveCoefficients, compute_effective
 from pnphom.fem import (
     ConvergenceFailure,
     MeshPattern,
