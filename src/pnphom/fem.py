@@ -279,10 +279,11 @@ class MeshPattern:
 
         Returns (pattern, slots).  slots[c, k] is the slot of the tiling's
         pattern that slot k of copy c adds to, so data on this pattern
-        tiles to ``np.bincount(slots.ravel(), np.tile(data, m))``.  The
-        drift operator tiles along, its rows through slots and its columns
-        through index; a matrix whose element integrals do not change under
-        the copy's similarity (a P1 stiffness, the drift) tiles exactly.
+        tiles to ``np.bincount(slots.ravel(), np.tile(data, m))``: the
+        matrix of the tiling when its element integrals are the same on
+        every copy, as a P1 stiffness's are on similar copies.  The drift
+        operator tiles along, its rows through slots and its columns
+        through index.
         """
         index = np.asarray(index, dtype=np.int64)
         m, nv = index.shape[0], int(index.max()) + 1
