@@ -23,13 +23,14 @@ import logging
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .fem import (
+    MeshPattern,
     _bordered_solver,
     assemble_interface_load,
-    assemble_stiffness,
+    element_slots,
+    element_stiffness,
     phase_integrals,
     tri_geometry,
 )
@@ -57,53 +58,10 @@ RESIDUAL_GATE = 1e-10
 # periodic condensation on the template cell
 
 
-def _projector(rep):
-    """Boolean prolongation matrix P with u_global = P @ u_condensed."""
-    masters, cond = np.unique(rep, return_inverse=True)
-    nv = rep.shape[0]
-    return sp.csr_matrix((np.ones(nv), (np.arange(nv), cond)),
-                         shape=(nv, masters.shape[0]))
-
-
-class _PeriodicOperator:
-    """A on the periodically identified mesh, factored once.
-
-    The constant nullspace is removed with a bordered (Lagrange) system so
-    the sparse LU factorization stays deterministic and exact.  rep is the
-    periodic representative map, weights the mean-zero weight vector.
-    """
-
-    def __init__(self, A_csr, weights, rep):
-        self.rep = rep
-        self.weights = weights
-        self.P = _projector(rep)
-        self.Ac = (self.P.T @ A_csr @ self.P).tocsr()
-        wc = self.P.T @ weights
-        self._solve = _bordered_solver(self.Ac, wc)
-
-    def solve(self, b):
-        """Solve A u = -b with weighted mean zero.
-
-        Returns the expanded solution on all vertices and the relative
-        residual of the condensed equation.
-        """
-        bc = self.P.T @ b
-        uc = self._solve(-bc)
-        resid = np.linalg.norm(self.Ac.dot(uc) + bc)
-        scale = max(np.linalg.norm(bc), 1.0)
-        return self.P.dot(uc), resid / scale
-
-
 def _check_residual(kind, residual):
     if residual > RESIDUAL_GATE:
         raise CellSolveError("%s cell solve residual %.3e exceeds %.0e"
                              % (kind, residual, RESIDUAL_GATE), residual)
-
-
-def _scatter(contrib, triangles, nv):
-    b = np.zeros(nv)
-    np.add.at(b, np.asarray(triangles).ravel(), contrib.ravel())
-    return b
 
 
 class CellProblemSolution:
@@ -114,26 +72,25 @@ class CellProblemSolution:
     vertices, triangles : the (sub)mesh the correctors live on
     correctors : list of two vertex arrays, one per unit direction
     residuals : list of two relative residuals
-    operator : the factored periodic cell operator the correctors solve;
-        its rep is the periodic representative map on the local vertex
-        set, its weights the mean-zero weight vector (lumped measure of
-        the region)
+    rep : the periodic representative map on the local vertex set
+    weights : the mean-zero weight vector (lumped measure of the region)
     """
 
-    def __init__(self, vertices, triangles, correctors, residuals, operator):
+    def __init__(self, vertices, triangles, correctors, residuals, rep,
+                 weights):
         self.vertices = vertices
         self.triangles = triangles
         self.correctors = correctors
         self.residuals = residuals
-        self.operator = operator
+        self.rep = rep
+        self.weights = weights
 
     def periodicity_defect(self):
-        rep = self.operator.rep
-        return max(float(np.abs(u - u[rep]).max()) for u in self.correctors)
+        return max(float(np.abs(u - u[self.rep]).max())
+                   for u in self.correctors)
 
     def mean_defect(self):
-        weights = self.operator.weights
-        return max(abs(float(weights.dot(u))) for u in self.correctors)
+        return max(abs(float(self.weights.dot(u))) for u in self.correctors)
 
 
 def _solve_cell(kind, vertices, triangles, pair_arrays, coefficient=None):
@@ -143,34 +100,49 @@ def _solve_cell(kind, vertices, triangles, pair_arrays, coefficient=None):
     (the area when None, a = 1), or the value of a symmetric tensor a on
     each triangle, shape (nt, 2, 2); the mean-zero weights are the lumped
     area of the (sub)mesh.  The load of direction k is
-    b_i = sum_T |T| (a e_k) . grad(phi_i).  Returns the solution, which
-    keeps the factored operator, and the energy tensor of the fluxes
+    b_i = sum_T |T| (a e_k) . grad(phi_i).  The cell is a torus: its
+    periodic pairs fold each vertex onto its representative, the stiffness
+    is assembled on the folded triangles, loads and weights are summed
+    onto the folded vertices, and the constants are removed by one
+    bordered LU.  Returns the solution and the energy tensor of the fluxes
     e_k + grad u_k.
     """
     nv = vertices.shape[0]
     areas, grads = tri_geometry(vertices, triangles)
-    A = assemble_stiffness(vertices, triangles, coefficient, (areas, grads))
+    if coefficient is None:
+        coefficient = areas
     tri_scale, tensor = areas, coefficient
-    if coefficient is None or coefficient.ndim == 1:
+    if coefficient.ndim == 1:
         # a scalar a: its integral carries the area, its tensor is the unit
-        tri_scale = areas if coefficient is None else coefficient
+        tri_scale = coefficient
         tensor = np.broadcast_to(np.eye(2), (len(areas), 2, 2))
-    weights = _scatter(np.repeat((areas / 3.0)[:, None], 3, axis=1),
-                       triangles, nv)
-    operator = _PeriodicOperator(A, weights, _periodic_rep(nv, pair_arrays))
+    rep = _periodic_rep(nv, pair_arrays)
+    fold = np.unique(rep, return_inverse=True)[1]
+    n_torus = int(fold.max()) + 1
+    keys, slots = element_slots(fold[triangles], n_torus)
+    A = MeshPattern(keys, n_torus).assembled(np.bincount(
+        slots, element_stiffness(areas, grads, coefficient).ravel()))
+    vertex_ids = np.asarray(triangles).ravel()
+    weights = np.bincount(vertex_ids, np.repeat(areas / 3.0, 3),
+                          minlength=nv)
+    solve = _bordered_solver(A, np.bincount(fold, weights))
     correctors, residuals, fluxes = [], [], []
     for k in range(2):
-        load = np.einsum("tid,td->ti", grads, tensor[:, :, k])
-        u, resid = operator.solve(_scatter(load * tri_scale[:, None],
-                                           triangles, nv))
+        load = (np.einsum("tid,td->ti", grads, tensor[:, :, k])
+                * tri_scale[:, None])
+        b = np.bincount(fold, np.bincount(vertex_ids, load.ravel(),
+                                          minlength=nv))
+        uc = solve(-b)
+        resid = np.linalg.norm(A @ uc + b) / max(np.linalg.norm(b), 1.0)
         _check_residual(kind, resid)
+        u = uc[fold]
         flux = np.einsum("tid,ti->td", grads, u[triangles])
         flux[:, k] += 1.0
         correctors.append(u)
         residuals.append(resid)
         fluxes.append(flux)
     sol = CellProblemSolution(vertices, triangles, correctors, residuals,
-                              operator)
+                              rep, weights)
     return sol, _energy_tensor(tri_scale, fluxes, [
         np.einsum("tde,te->td", tensor, flux) for flux in fluxes])
 
@@ -190,11 +162,10 @@ def _fluid_subcell(template):
 
 
 def _require_connected(triangles, nv):
-    tris = np.asarray(triangles)
-    i = np.concatenate([tris[:, 0], tris[:, 1], tris[:, 2]])
-    j = np.concatenate([tris[:, 1], tris[:, 2], tris[:, 0]])
-    adj = sp.coo_matrix((np.ones(i.shape[0]), (i, j)), shape=(nv, nv))
-    n_comp, _ = connected_components(adj, directed=False)
+    # the vertex graph is the P1 pattern of the triangles
+    keys, _ = element_slots(triangles, nv)
+    n_comp, _ = connected_components(
+        MeshPattern(keys, nv).matrix(np.ones(keys.shape[0])), directed=False)
     if n_comp != 1:
         raise CellSolveError("fluid region is disconnected (%d components)"
                              % n_comp)
@@ -323,7 +294,7 @@ def omega_stage_species(constant_tensor=None, injected_samples=None, K=32):
         grid = np.broadcast_to(tensor, (K, K, 2, 2))
     sol, _ = solve_sample_cell(grid)
     # the values at the K^2 distinct nodes of the torus
-    correctors = np.stack(sol.correctors)[:, np.unique(sol.operator.rep)]
+    correctors = np.stack(sol.correctors)[:, np.unique(sol.rep)]
     return corrector_norm(correctors, K), correctors
 
 

@@ -1,13 +1,15 @@
 """Sparse P1 finite-element kernels shared by every solver in the package.
 
 The edge-midpoint triangle rule, in the per-triangle integrals of a
-phase-split density, and the Gauss-Legendre edge rules; vectorized assembly
-of stiffness matrices from such integrals or from tensor values per
-triangle and of mass matrices (as canonical scipy CSR matrices) and of
-interface-trace loads; the fixed CSR pattern of a mesh with its drift
-operator, whose product with a potential is the data of the drift matrix,
-built from the triangles or as the tiling of the pattern of the mesh that
-a tiling repeats, and the upwind Laplacian on it; the sparse LU and the
+phase-split density, and the Gauss-Legendre edge rules; the P1 element
+stiffness matrices, from such integrals or from tensor values per
+triangle, and element mass matrices, and interface-trace loads; the fixed
+CSR pattern of a mesh, with the slot map through which one ``np.bincount``
+sums element matrices into its data (the one way the package turns
+element matrices into a sparse matrix), and with its drift operator, whose
+product with a potential is the data of the drift matrix, built from the
+triangles or as the tiling of the pattern of the mesh that a tiling
+repeats, and the upwind Laplacian on it; the sparse LU and the
 bordered LU of a problem whose kernel is the constants; CG through
 ``scipy.sparse.linalg`` with an iteration count; and a damped Newton
 iteration for the nonlinear interface term.
@@ -96,26 +98,13 @@ def tri_geometry(vertices, triangles):
 # assembly
 
 
-def _sum_local(triangles, local, nv):
-    """Sum (nt, 3, 3) element matrices into a canonical nv x nv CSR matrix.
-
-    Entries summing to zero are dropped, so the LU orderings never see them.
-    """
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    csr = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    csr.eliminate_zeros()
-    csr.sort_indices()
-    return csr
-
-
 def phase_integrals(vertices, triangles, tri_phase, densities):
     """Per-triangle integrals of a phase-split density, shape (nt,).
 
     Triangle t integrates densities[tri_phase[t]], a callable(points (m,2))
     -> (m,) values, by the midpoint rule: the three edge midpoints with
     weight area/3 each, exact for quadratics.  These integrals are the
-    coefficient of :func:`assemble_stiffness`.
+    coefficient of :func:`element_stiffness`.
     """
     triangles = np.asarray(triangles)
     tri_phase = np.asarray(tri_phase)
@@ -138,73 +127,48 @@ def phase_integrals(vertices, triangles, tri_phase, densities):
     return csum
 
 
-def assemble_stiffness(vertices, triangles, coefficient=None, geometry=None):
-    """Assemble the P1 stiffness matrix of -div(a grad u) on a triangle set.
+def element_stiffness(areas, grads, coefficient):
+    """P1 element stiffness matrices of -div(a grad u), shape (nt, 3, 3).
 
-    Parameters
-    ----------
-    vertices : (nv, 2) array
-    triangles : (nt, 3) int array
-    coefficient : None, (nt,) array, (nt, 2, 2) array or (2, 2) array
-        None is a = 1.  An (nt,) array holds the integral of a scalar a
-        over each triangle, as :func:`phase_integrals` returns it.  An
+    areas, grads : the triangles' :func:`tri_geometry`
+    coefficient : (nt,) array, (nt, 2, 2) array or (2, 2) array.  An (nt,)
+        array holds the integral of a scalar a over each triangle, as
+        :func:`phase_integrals` returns it (the areas for a = 1).  An
         (nt, 2, 2) array holds a symmetric tensor a per triangle, and a
-        (2, 2) array a constant one.
-    geometry : the (areas, grads) of :func:`tri_geometry` for these
-        triangles, when the caller has them; computed when None
+        (2, 2) array a constant one.  A tensor that is not symmetric raises
+        AssemblyError.
 
-    Returns
-    -------
-    scipy CSR matrix, symmetric positive semidefinite with constants in
-    the kernel before any boundary handling.  A tensor coefficient that is
-    not symmetric raises AssemblyError.
+    Summed through the slot map of :func:`element_slots`, they give a
+    symmetric positive semidefinite matrix with the constants in its
+    kernel.
     """
-    triangles = np.asarray(triangles)
-    if triangles.shape[0] == 0:
-        raise AssemblyError("empty region")
-    areas, grads = (tri_geometry(vertices, triangles) if geometry is None
-                    else geometry)
-    nt = triangles.shape[0]
-    coef = areas if coefficient is None else np.asarray(coefficient,
-                                                        dtype=float)
-
+    nt = areas.shape[0]
+    coef = np.asarray(coefficient, dtype=float)
     if coef.ndim == 1:
         if coef.shape != (nt,):
             raise AssemblyError("coefficient has %d triangle integrals for "
                                 "%d triangles" % (coef.shape[0], nt))
         # (int_T a) grad_i . grad_j
-        local = np.einsum("tid,tjd->tij", grads, grads) * coef[:, None, None]
-    else:
-        if coef.shape not in ((2, 2), (nt, 2, 2)):
-            raise AssemblyError("tensor shape must be (2, 2) or (nt, 2, 2)")
-        coef = np.broadcast_to(coef, (nt, 2, 2))
-        skew = np.abs(coef - coef.transpose(0, 2, 1)).max()
-        if skew > 1e-12:
-            raise AssemblyError(
-                "tensor coefficient is not symmetric: |a - a^T| = %.3e"
-                % skew)
-        # grad_i . a grad_j, the four (d, e) terms summed in the order of
-        # einsum("tid,tde,tje->tij"), which numpy runs unoptimized
-        terms = [grads[:, :, None, d] * coef[:, None, None, d, e]
-                 * grads[:, None, :, e] for d in range(2) for e in range(2)]
-        local = ((terms[0] + terms[1] + terms[2] + terms[3])
-                 * areas[:, None, None])
-
-    return _sum_local(triangles, local, vertices.shape[0])
+        return np.einsum("tid,tjd->tij", grads, grads) * coef[:, None, None]
+    if coef.shape not in ((2, 2), (nt, 2, 2)):
+        raise AssemblyError("tensor shape must be (2, 2) or (nt, 2, 2)")
+    coef = np.broadcast_to(coef, (nt, 2, 2))
+    skew = np.abs(coef - coef.transpose(0, 2, 1)).max()
+    if skew > 1e-12:
+        raise AssemblyError(
+            "tensor coefficient is not symmetric: |a - a^T| = %.3e" % skew)
+    # grad_i . a grad_j, the four (d, e) terms summed in the order of
+    # einsum("tid,tde,tje->tij"), which numpy runs unoptimized
+    terms = [grads[:, :, None, d] * coef[:, None, None, d, e]
+             * grads[:, None, :, e] for d in range(2) for e in range(2)]
+    return (terms[0] + terms[1] + terms[2] + terms[3]) * areas[:, None, None]
 
 
-def assemble_mass(vertices, triangles):
-    """Assemble the P1 mass matrix as a scipy CSR matrix.
-
-    Its entries sum to the region area exactly.
-    """
-    triangles = np.asarray(triangles)
-    if triangles.shape[0] == 0:
-        raise AssemblyError("empty region")
-    areas, _ = tri_geometry(vertices, triangles)
+def element_mass(areas):
+    """P1 element mass matrices, shape (nt, 3, 3); their entries sum to the
+    total area exactly."""
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = base[None, :, :] * areas[:, None, None]
-    return _sum_local(triangles, local, vertices.shape[0])
+    return base[None] * areas[:, None, None]
 
 
 def tri_gradient(vertices, triangles, values):
@@ -310,8 +274,13 @@ class MeshPattern:
 
     def assembled(self, data):
         """Canonical CSR matrix with the given data on a copy of this
-        pattern, entries summing to zero dropped as in
-        :func:`assemble_stiffness`, so the LU orderings never see them."""
+        pattern, entries summing to zero dropped, so the LU orderings never
+        see them.
+
+        Element matrices ``local`` (nt, 3, 3) on the pattern's triangles
+        sum to its data as ``np.bincount(slots, local.ravel())``, with the
+        slot map of :func:`element_slots`.
+        """
         csr = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                             shape=(self.n, self.n))
         csr.eliminate_zeros()
@@ -392,9 +361,8 @@ def assemble_interface_load(vertices, edges, density):
     density : callable(points (m,2)) -> (m,) values
     """
     edges = np.asarray(edges)
-    b = np.zeros(vertices.shape[0])
     if edges.shape[0] == 0:
-        return b
+        return np.zeros(vertices.shape[0])
     pts, wts = edge_quadrature_points(vertices, edges, 4)
     lengths = wts.sum(axis=1)
     if lengths.min() < 1e-15:
@@ -403,9 +371,10 @@ def assemble_interface_load(vertices, edges, density):
     t, _ = _unit_gauss(4)
     w = np.asarray(density(pts.reshape(-1, 2)), dtype=float).reshape(
         wts.shape) * wts
-    np.add.at(b, edges[:, 0], (w * (1.0 - t)).sum(axis=1))
-    np.add.at(b, edges[:, 1], (w * t).sum(axis=1))
-    return b
+    # the first endpoints' shares, then the second endpoints'
+    return np.bincount(edges.T.ravel(), np.concatenate(
+        [(w * (1.0 - t)).sum(axis=1), (w * t).sum(axis=1)]),
+        minlength=vertices.shape[0])
 
 
 def _unit_gauss(order):

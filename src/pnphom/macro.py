@@ -14,7 +14,7 @@ solver precision and trajectories are directly comparable.
 
 import numpy as np
 
-from .fem import assemble_mass, assemble_stiffness, mesh_pattern
+from .fem import element_mass, element_stiffness, mesh_pattern, tri_geometry
 from .geometry import UnitCellSpec, build_template_cell
 from .micro import _SpeciesOperators, _Transport
 
@@ -42,15 +42,21 @@ class MacroProblem(_Transport):
         self.eff = eff
         self.omega = None
         v = mesh.vertices
-        t = mesh.triangles
-        self.M_charge = assemble_mass(v, t)
+        # every operator sums its element matrices on the drift's pattern
+        pattern, slots = mesh_pattern(v, mesh.triangles,
+                                      np.asarray(eff.B_hom))
+        areas, grads = tri_geometry(v, mesh.triangles)
+
+        def assembled(local):
+            return pattern.assembled(np.bincount(slots, local.ravel()))
+
+        self.M_charge = assembled(element_mass(areas))
         mass_vec = np.asarray(self.M_charge.sum(axis=1)).ravel()
         species = _SpeciesOperators(
             params, v, np.arange(v.shape[0]), eff.theta * mass_vec,
-            assemble_stiffness(v, t, coefficient=eff.A_hom),
-            mesh_pattern(v, t, np.asarray(eff.B_hom))[0])
+            assembled(element_stiffness(areas, grads, eff.A_hom)), pattern)
         self._setup(params, gamma, species,
-                    assemble_stiffness(v, t, coefficient=eff.theta_eff),
+                    assembled(element_stiffness(areas, grads, eff.theta_eff)),
                     (eff.s_bar, mass_vec))
 
     # bound in the class body so that profilers walking vars(MacroProblem),

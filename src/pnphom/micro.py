@@ -53,7 +53,9 @@ from .fem import (
     assemble_drift,
     assemble_interface_load,
     cg_solve,
+    element_mass,
     element_slots,
+    element_stiffness,
     mesh_pattern,
     newton_solve,
     phase_integrals,
@@ -511,7 +513,7 @@ class _CellOperators:
 
     full, full_slots : the template's P1 pattern and the slot of each
         element entry (t, i, j) in it
-    grad_products : grad_i . grad_j per template triangle, (nt, 3, 3)
+    geometry : the areas and basis gradients of the template triangles
     fluid_ids : template vertices of the fluid submesh, ascending
     fluid : the fluid submesh's pattern, with the drift operator
     stiffness, mass : fluid stiffness and mass data on ``fluid``
@@ -521,17 +523,15 @@ class _CellOperators:
         nv = template.n_vertices
         keys, self.full_slots = element_slots(template.triangles, nv)
         self.full = MeshPattern(keys, nv)
-        areas, grads = tri_geometry(template.vertices, template.triangles)
-        self.grad_products = np.einsum("tid,tjd->tij", grads, grads)
+        self.geometry = areas, grads = tri_geometry(template.vertices,
+                                                    template.triangles)
         self.fluid_ids, tris, _ = template.fluid_submesh()
         self.fluid, slots = mesh_pattern(template.vertices[self.fluid_ids],
                                          tris, None)
         fluid = template.tri_phase == FLUID
-        local = self.grad_products[fluid] * areas[fluid, None, None]
-        self.stiffness = np.bincount(slots, local.ravel())
-        mass = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None] * areas[
-            fluid, None, None]
-        self.mass = np.bincount(slots, mass.ravel())
+        self.stiffness = np.bincount(slots, element_stiffness(
+            areas[fluid], grads[fluid], areas[fluid]).ravel())
+        self.mass = np.bincount(slots, element_mass(areas[fluid]).ravel())
 
     @classmethod
     def of(cls, template):
@@ -609,7 +609,7 @@ class MicroProblem(_Transport):
             template.vertices, template.triangles, template.tri_phase,
             [partial(eval_field_cell, f, self.omega, n=n)
              for f in (fields.rho_f, fields.rho_s)])
-        local = cell.grad_products * csum[:, None, None]
+        local = element_stiffness(*cell.geometry, csum)
         self.A_theta = domain.full.assembled(_tile(
             domain.full_slots, np.bincount(cell.full_slots, local.ravel())))
         load = assemble_interface_load(

@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pnphom import effective
@@ -26,12 +27,14 @@ from pnphom.effective import (
 )
 from pnphom.fem import (
     assemble_interface_load,
+    element_stiffness,
     phase_integrals,
     tri_geometry,
     tri_gradient,
 )
 from pnphom.geometry import (
     UnitCellSpec,
+    _periodic_rep,
     _side_vertices,
     build_template_cell,
     tile_domain,
@@ -472,6 +475,94 @@ def test_drift_identity_by_quadrature(template, coarse_template):
                                           fields.rho_s, omega)
         assert np.abs(_drift_tensor(coarse_template, species, wsol)
                       - A).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the torus assembly against the projector algebra
+
+
+def _sample_grid(K=8):
+    # a w-dependent tensor with off-diagonal entries on the K x K grid
+    field = CoefficientField("rho", 2.0, w_modes=(((1, 1), 0.7),),
+                             floor=0.5)
+    vals = field.y_average(omega_grid_centers(K).reshape(-1, 2))
+    return (vals.reshape(K, K)[:, :, None, None] * np.eye(2)
+            + 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("case", ["full cell", "fluid subcell",
+                                  "sample grid"])
+def test_torus_assembly_is_the_projected_matrix(template, monkeypatch, case):
+    # the cell solver assembles on the folded triangles; that is the
+    # matrix A of the unfolded cell condensed as P^T A P, P the 0/1
+    # prolongation of the periodic fold, and its weights and loads are
+    # P^T of the unfolded ones, bit for bit
+    seen = {"loads": []}
+    cell, bordered = effective._solve_cell, effective._bordered_solver
+
+    def capturing_cell(kind, vertices, triangles, pair_arrays,
+                       coefficient=None):
+        seen["args"] = vertices, triangles, pair_arrays, coefficient
+        return cell(kind, vertices, triangles, pair_arrays, coefficient)
+
+    def capturing_bordered(A, border):
+        seen["A"], seen["border"] = A, border
+        solve = bordered(A, border)
+
+        def recording(b):
+            seen["loads"].append(b)
+            return solve(b)
+        return recording
+
+    monkeypatch.setattr(effective, "_solve_cell", capturing_cell)
+    monkeypatch.setattr(effective, "_bordered_solver", capturing_bordered)
+    if case == "full cell":
+        solve_dielectric_single(
+            template, CoefficientField("rho_f", 2.0, y_modes=(((1, 0), 0.8),),
+                                       floor=0.5),
+            CoefficientField("rho_s", 0.5), np.array([0.3, 0.7]))
+    elif case == "fluid subcell":
+        solve_species_cell(template)
+    else:
+        solve_sample_cell(_sample_grid())
+
+    vertices, triangles, pair_arrays, coefficient = seen["args"]
+    nv = vertices.shape[0]
+    areas, grads = tri_geometry(vertices, triangles)
+    coef = areas if coefficient is None else coefficient
+    local = element_stiffness(areas, grads, coef)
+    A = sp.coo_matrix((local.ravel(), (np.repeat(triangles, 3, axis=1)
+                                       .ravel(),
+                                       np.tile(triangles, (1, 3)).ravel())),
+                      shape=(nv, nv)).tocsr()
+    rep = _periodic_rep(nv, pair_arrays)
+    cond = np.unique(rep, return_inverse=True)[1]
+    P = sp.csr_matrix((np.ones(nv), (np.arange(nv), cond)),
+                      shape=(nv, cond.max() + 1))
+    ref = (P.T @ A @ P).tocsr()
+    ref.sort_indices()
+    torus = seen["A"]
+    assert np.array_equal(torus.indptr, ref.indptr)
+    assert np.array_equal(torus.indices, ref.indices)
+    assert (np.abs(torus.data - ref.data).max()
+            <= 1e-14 * np.abs(ref.data).max())
+
+    def scattered(values):
+        b = np.zeros(nv)
+        np.add.at(b, triangles.ravel(), values.ravel())
+        return b
+
+    weights = scattered(np.repeat((areas / 3.0)[:, None], 3, axis=1))
+    assert np.array_equal(seen["border"], P.T @ weights)
+    tensor, tri_scale = coef, areas
+    if coef.ndim == 1:
+        tensor = np.broadcast_to(np.eye(2), (len(areas), 2, 2))
+        tri_scale = coef
+    assert len(seen["loads"]) == 2
+    for k, load in enumerate(seen["loads"]):
+        b = scattered(np.einsum("tid,td->ti", grads, tensor[:, :, k])
+                      * tri_scale[:, None])
+        assert np.array_equal(-load, P.T @ b)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from pnphom.fem import (
     MeshPattern,
     assemble_drift,
     assemble_interface_load,
-    assemble_mass,
-    assemble_stiffness,
+    element_mass,
+    element_slots,
+    element_stiffness,
     mesh_pattern,
     phase_integrals,
+    tri_geometry,
 )
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
 from pnphom.macro import MacroProblem, equilibrium_residual, macro_mesh
@@ -79,6 +81,19 @@ def wiggly_fields(gamma=None):
 def bump(pts):
     return 1.0 + 0.5 * np.exp(-20.0 * ((pts[:, 0] - 0.4) ** 2
                                        + (pts[:, 1] - 0.5) ** 2))
+
+
+def direct_assembly(vertices, triangles, coefficient=None):
+    """Stiffness (of a = 1, or of per-triangle integrals) and mass
+    assembled on the triangles themselves, the reference of the tiled
+    operators."""
+    areas, grads = tri_geometry(vertices, triangles)
+    keys, slots = element_slots(triangles, len(vertices))
+    pattern = MeshPattern(keys, len(vertices))
+    return [pattern.assembled(np.bincount(slots, local.ravel())) for local in (
+        element_stiffness(areas, grads,
+                          areas if coefficient is None else coefficient),
+        element_mass(areas))]
 
 
 def midpoint_integral(vertices, triangles, values):
@@ -208,7 +223,7 @@ def test_poisson_manufactured_convergence():
                                         * np.cos(math.pi * q[:, 1]),
                                         lambda q, s=shift:
                                         np.full(len(q), s)))
-        M = assemble_mass(mesh.vertices, mesh.triangles)
+        M = direct_assembly(mesh.vertices, mesh.triangles)[1]
         pot = state.potential - state.potential.mean()
         ref = exact - exact.mean()
         err = pot - ref
@@ -386,19 +401,20 @@ def test_tiled_operators_match_fine_assembly(coarse_template, n,
     ids, tris, _ = mesh.fluid_submesh()
     assert np.array_equal(domain.fluid_ids, ids)
     verts = mesh.vertices[ids]
-    _same_operator(domain.A_fluid, assemble_stiffness(verts, tris))
-    _same_operator(domain.M_charge, assemble_mass(verts, tris))
+    A_fluid, M_charge = direct_assembly(verts, tris)
+    _same_operator(domain.A_fluid, A_fluid)
+    _same_operator(domain.M_charge, M_charge)
     pattern, _ = mesh_pattern(verts, tris, None)
     tiled = domain.species.pattern
     for name in ("indices", "indptr", "transpose_slots", "diagonal_slots"):
         assert np.array_equal(getattr(tiled, name), getattr(pattern, name))
     _same_operator(tiled.drift, pattern.drift)
     eps = mesh.epsilon
-    _same_operator(prob.A_theta, assemble_stiffness(
+    _same_operator(prob.A_theta, direct_assembly(
         mesh.vertices, mesh.triangles, phase_integrals(
             mesh.vertices, mesh.triangles, mesh.tri_phase,
             [partial(eval_field_eps, f, omega, eps=eps)
-             for f in (fields.rho_f, fields.rho_s)])))
+             for f in (fields.rho_f, fields.rho_s)]))[0])
     surface_w = assemble_interface_load(
         mesh.vertices, mesh.interface_edges,
         partial(eval_field_eps, fields.eta, omega, eps=eps))
@@ -409,29 +425,42 @@ def test_tiled_operators_match_fine_assembly(coarse_template, n,
 
 def test_fine_set_up_assembles_no_fine_triangle(coarse_template,
                                                monkeypatch):
-    # the fine set-up evaluates and assembles on the template only: no
-    # assembly or field evaluation gets an array of fine-mesh size
+    # the fine set-up evaluates and assembles on the template only: the
+    # element kernels, the slot map and the field evaluation are called,
+    # and none of them gets an array of fine-mesh size
     mesh = tile_domain(coarse_template, 3)
     limit = 3 * coarse_template.n_triangles
-    fine_calls = []
+    calls, fine_calls = set(), []
 
     def recording(name, fn):
         def wrapper(*args, **kwargs):
+            calls.add(name)
             if any(isinstance(a, np.ndarray) and a.ndim and
                    a.shape[0] > limit for a in args):
                 fine_calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (fem, randomfield, micro):
-        for name in ("assemble_stiffness", "assemble_mass",
-                     "eval_field_eps"):
-            fn = getattr(module, name, None)
-            if fn is not None:
-                monkeypatch.setattr(module, name, recording(name, fn))
+    watched = {fem: ("tri_geometry", "element_stiffness", "element_mass",
+                     "element_slots", "phase_integrals"),
+               randomfield: ("eval_field_eps", "eval_field_cell")}
+    for home, names in watched.items():
+        for name in names:
+            # a missing name fails here rather than leaving it unwatched
+            fn = getattr(home, name)
+            for module in (fem, randomfield, micro):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, recording(name, fn))
+    # the template's cell operators are built in this set-up, not taken
+    # from an earlier test's
+    monkeypatch.setattr(coarse_template, "_cell_operators", None)
     domain = FineDomain(mesh, PnpParams())
     MicroProblem(domain, PnpParams(), wiggly_fields(), sample_omega(1).omega)
     assert fine_calls == []
+    # the set-up goes through the watched entry points; only the
+    # reference evaluation on fine points is never called
+    assert calls == {name for names in watched.values()
+                     for name in names} - {"eval_field_eps"}
 
 
 def test_run_builds_no_matrix_per_iterate(coarse_mesh, monkeypatch):
