@@ -104,7 +104,19 @@ def _check_int(value, path):
     return n
 
 
+def _check_pair(value, path):
+    """value, refused unless it is a pair of numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in value)):
+        raise ConfigError("%s must be a pair of numbers, got %r"
+                          % (path, value))
+    return value
+
+
 def _check_eps_list(values, path):
+    if not isinstance(values, list):
+        raise ConfigError("%s must be a list, got %r" % (path, values))
     if not values:
         raise ConfigError("%s must not be empty" % path)
     ns = []
@@ -133,7 +145,7 @@ def make_initial_function(spec, path):
     if kind == "cosine":
         base = float(spec.get("base", 1.0))
         amp = float(spec.get("amplitude", 0.5))
-        kx, ky = spec.get("modes", [1, 1])
+        kx, ky = _check_pair(spec.get("modes", [1, 1]), path + ".modes")
         if base - abs(amp) < 0.0:
             raise ConfigError("%s: cosine dips below zero" % path)
 
@@ -145,7 +157,8 @@ def make_initial_function(spec, path):
         base = float(spec.get("base", 1.0))
         amp = float(spec.get("amplitude", 0.5))
         width = float(spec.get("width", 20.0))
-        cx, cy = spec.get("center", [0.5, 0.5])
+        cx, cy = _check_pair(spec.get("center", [0.5, 0.5]),
+                             path + ".center")
         if base < 0.0 or base + min(amp, 0.0) < 0.0:
             raise ConfigError("%s: gaussian dips below zero" % path)
 
@@ -189,6 +202,8 @@ class ExperimentConfig:
         # build eagerly so invalid sections fail at load time
         try:
             check_sample_grid(self.K)
+            _check_pair(data["geometry"]["inclusion_center"],
+                        "geometry.inclusion_center")
             self.geometry = UnitCellSpec(**data["geometry"])
             self.fields = MicroCoefficients(
                 rho_f=CoefficientField.from_json_dict(
@@ -199,11 +214,13 @@ class ExperimentConfig:
                     data["fields"]["eta"], "eta"),
                 gamma=GammaFunction(**data["gamma"]))
             self.pnp = PnpParams(**data["pnp"])
+            self.initial = (
+                make_initial_function(data["initial"]["plus"],
+                                      "initial.plus"),
+                make_initial_function(data["initial"]["minus"],
+                                      "initial.minus"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc))
-        self.initial = (
-            make_initial_function(data["initial"]["plus"], "initial.plus"),
-            make_initial_function(data["initial"]["minus"], "initial.minus"))
 
 
 def load_config(path=None, overrides=None):
@@ -214,11 +231,13 @@ def load_config(path=None, overrides=None):
     """
     data = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("%s is not valid JSON: %s" % (path, exc))
+        except json.JSONDecodeError as exc:
+            raise ConfigError("%s is not valid JSON: %s" % (path, exc))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read %s: %s" % (path, exc))
         data = _merge(data, user)
     if overrides:
         data = _merge(data, overrides)

@@ -3,9 +3,9 @@
 The probability space is the 2-torus [0,1)^2 with Lebesgue measure.  The
 dynamical system is the coordinate shift T(y) w = (w + y) mod 1, which is
 measure preserving and ergodic.  Coefficient fields are finite trigonometric
-polynomials in a fast periodic variable y and in the sample point w, with a
-certified positive lower bound, so exact means and torus integrals are
-available in closed form.
+polynomials (:class:`TrigFactor`) in a fast periodic variable y and in the
+sample point w, with a certified positive lower bound, so exact means and
+torus integrals are available in closed form.
 """
 
 import math
@@ -63,12 +63,84 @@ class TorusShift:
             self.omega[0], self.omega[1], self.rng_seed)
 
 
+class TrigFactor:
+    """Trigonometric polynomial c0 + sum amp * cos(2 pi k.u + phase) on the torus.
+
+    Terms are (amplitude, (k1, k2), phase) with integer frequencies; sin
+    modes are cos modes with phase -pi/2.  Closed under products.
+    """
+
+    def __init__(self, const=0.0, terms=()):
+        self.const = float(const)
+        self.terms = [(float(a), (int(k[0]), int(k[1])), float(ph))
+                      for a, k, ph in terms]
+
+    @classmethod
+    def from_modes(cls, const=1.0, cos_modes=(), sin_modes=()):
+        terms = [(a, k, 0.0) for k, a in cos_modes]
+        terms += [(a, k, -0.5 * math.pi) for k, a in sin_modes]
+        return cls(const, terms)
+
+    def value(self, pts):
+        """Values at pts (last dim 2): the constant, then the terms in order."""
+        pts = np.asarray(pts, dtype=float)
+        out = np.full(pts.shape[:-1], self.const)
+        for a, (k1, k2), ph in self.terms:
+            out = out + a * np.cos(
+                2.0 * math.pi * (k1 * pts[..., 0] + k2 * pts[..., 1]) + ph)
+        return out[()]  # a scalar for one point
+
+    def value_outer(self, u1, u2):
+        """Evaluate on the tensor grid u1 x u2 via per-axis factorization."""
+        out = np.full((len(u1), len(u2)), self.const)
+        for a, (k1, k2), ph in self.terms:
+            A = 2.0 * math.pi * k1 * np.asarray(u1)
+            B = 2.0 * math.pi * k2 * np.asarray(u2) + ph
+            out += a * (np.outer(np.cos(A), np.cos(B))
+                        - np.outer(np.sin(A), np.sin(B)))
+        return out
+
+    def integral(self):
+        """Exact mean over the torus."""
+        total = self.const
+        for a, k, ph in self.terms:
+            if k == (0, 0):
+                total += a * math.cos(ph)
+        return total
+
+    def squared_integral(self):
+        """Exact mean of the square over the torus, by the self-product."""
+        return (self * self).integral()
+
+    def min_bound(self):
+        lo = self.const
+        for a, k, ph in self.terms:
+            lo -= abs(a)
+        return lo
+
+    def is_constant(self):
+        return all(k == (0, 0) for _, k, _ in self.terms)
+
+    def __mul__(self, other):
+        # product-to-sum: cos X cos Y = (cos(X+Y) + cos(X-Y)) / 2
+        terms = [(a * other.const, k, ph) for a, k, ph in self.terms]
+        terms += [(a * self.const, k, ph) for a, k, ph in other.terms]
+        for a1, (p1, p2), f1 in self.terms:
+            for a2, (q1, q2), f2 in other.terms:
+                terms.append((0.5 * a1 * a2, (p1 + q1, p2 + q2), f1 + f2))
+                terms.append((0.5 * a1 * a2, (p1 - q1, p2 - q2), f1 - f2))
+        return TrigFactor(self.const * other.const, terms)
+
+
 def _parse_modes(modes, what):
     out = []
     for entry in modes:
-        k, amp = entry
-        k = (int(k[0]), int(k[1]))
-        amp = float(amp)
+        try:
+            (k1, k2), amp = entry
+            k, amp = (int(k1), int(k2)), float(amp)
+        except (TypeError, ValueError):
+            raise ValueError("%s %r is not [[k1, k2], amplitude]"
+                             % (what, entry))
         if k == (0, 0):
             raise ValueError(
                 "%s frequency (0,0) is a constant; fold it into base_value" % what)
@@ -103,6 +175,8 @@ class CoefficientField:
         self.base_value = float(base_value)
         self.y_modes = _parse_modes(y_modes, "y-mode")
         self.w_modes = _parse_modes(w_modes, "w-mode")
+        self._y_part = TrigFactor.from_modes(0.0, cos_modes=self.y_modes)
+        self._w_part = TrigFactor.from_modes(0.0, cos_modes=self.w_modes)
         total_amp = sum(abs(a) for _, a in self.y_modes)
         total_amp += sum(abs(a) for _, a in self.w_modes)
         if floor is None:
@@ -119,33 +193,21 @@ class CoefficientField:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, omega, y):
-        """Evaluate a(omega, y); both arguments broadcast with last dim 2.
+        """Evaluate a(omega, y) = (base + y-modes) + w-modes; both arguments
+        broadcast with last dim 2.
 
         The value depends on omega only through :meth:`w_value`, so two
         samples with bitwise-equal w-mode sums give bitwise-equal values.
         """
-        y = np.asarray(y, dtype=float)
-        val = self.base_value + self._mode_sum(self.y_modes, y)
-        return val + self.w_value(omega)
+        return self.omega_average(y) + self.w_value(omega)
 
     def w_value(self, omega):
         """Sum of the w-modes at omega (last dim 2), the sample part of a."""
-        return self._mode_sum(self.w_modes, np.asarray(omega, dtype=float))
-
-    @staticmethod
-    def _mode_sum(modes, u):
-        if not modes:
-            return 0.0 if u.ndim == 1 else np.zeros(u.shape[:-1])
-        acc = 0.0
-        for (k1, k2), amp in modes:
-            phase = 2.0 * math.pi * (k1 * u[..., 0] + k2 * u[..., 1])
-            acc = acc + amp * np.cos(phase)
-        return acc
+        return self._w_part.value(omega)
 
     def omega_average(self, y):
         """Exact mean over the sample space: the w-modes integrate to zero."""
-        y = np.asarray(y, dtype=float)
-        return self.base_value + self._mode_sum(self.y_modes, y)
+        return self.base_value + self._y_part.value(y)
 
     def y_average(self, omega):
         """Exact mean over the periodic cell: the y-modes integrate to zero."""

@@ -17,6 +17,11 @@ the sample point; the surface limit therefore carries |Gamma| times the
 cell-mean of the fast factor, and that is the reference computed here.  The
 fast factor h(x/eps^2) restricted to the interface equidistributes over the
 unit cell as eps shrinks.
+
+The sample and fast factors g and h are :class:`randomfield.TrigFactor`
+polynomials, the same kind that makes up the coefficient fields.  Both
+estimators run one Monte Carlo loop over the fixed seed schedule and differ
+only in their quadrature.
 """
 
 import logging
@@ -26,7 +31,7 @@ import numpy as np
 
 from .fem import edge_quadrature_points
 from .geometry import tile_domain
-from .randomfield import sample_omega
+from .randomfield import TrigFactor, sample_omega
 
 log = logging.getLogger(__name__)
 
@@ -40,84 +45,6 @@ def _eps_to_n(eps):
 
 # ---------------------------------------------------------------------------
 # separable factors
-
-
-class TrigFactor:
-    """Trigonometric polynomial c0 + sum amp * cos(2 pi k.u + phase) on the torus.
-
-    Terms are (amplitude, (k1, k2), phase) with integer frequencies; sin
-    modes are cos modes with phase -pi/2.  Closed under products.
-    """
-
-    def __init__(self, const=0.0, terms=()):
-        self.const = float(const)
-        self.terms = [(float(a), (int(k[0]), int(k[1])), float(ph))
-                      for a, k, ph in terms]
-
-    @classmethod
-    def from_modes(cls, const=1.0, cos_modes=(), sin_modes=()):
-        terms = [(a, k, 0.0) for k, a in cos_modes]
-        terms += [(a, k, -0.5 * math.pi) for k, a in sin_modes]
-        return cls(const, terms)
-
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.full(pts.shape[:-1], self.const)
-        for a, (k1, k2), ph in self.terms:
-            out = out + a * np.cos(
-                2.0 * math.pi * (k1 * pts[..., 0] + k2 * pts[..., 1]) + ph)
-        return out
-
-    def value_outer(self, u1, u2):
-        """Evaluate on the tensor grid u1 x u2 via per-axis factorization."""
-        out = np.full((len(u1), len(u2)), self.const)
-        for a, (k1, k2), ph in self.terms:
-            A = 2.0 * math.pi * k1 * np.asarray(u1)
-            B = 2.0 * math.pi * k2 * np.asarray(u2) + ph
-            out += a * (np.outer(np.cos(A), np.cos(B))
-                        - np.outer(np.sin(A), np.sin(B)))
-        return out
-
-    def integral(self):
-        """Exact mean over the torus."""
-        total = self.const
-        for a, k, ph in self.terms:
-            if k == (0, 0):
-                total += a * math.cos(ph)
-        return total
-
-    def squared_integral(self):
-        """Exact mean of the square over the torus, by the self-product."""
-        return (self * self).integral()
-
-    def min_bound(self):
-        lo = self.const
-        for a, k, ph in self.terms:
-            lo -= abs(a)
-        return lo
-
-    def is_constant(self):
-        return all(k == (0, 0) for _, k, _ in self.terms)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return TrigFactor(self.const * other,
-                              [(a * other, k, ph) for a, k, ph in self.terms])
-        if not isinstance(other, TrigFactor):
-            return NotImplemented
-        # product-to-sum: cos X cos Y = (cos(X+Y) + cos(X-Y)) / 2
-        terms = [(a * other.const, k, ph) for a, k, ph in self.terms]
-        terms += [(a * self.const, k, ph) for a, k, ph in other.terms]
-        for a1, (p1, p2), f1 in self.terms:
-            for a2, (q1, q2), f2 in other.terms:
-                terms.append((0.5 * a1 * a2, (p1 + q1, p2 + q2), f1 + f2))
-                terms.append((0.5 * a1 * a2, (p1 - q1, p2 - q2), f1 - f2))
-        return TrigFactor(self.const * other.const, terms)
-
-    __rmul__ = __mul__
-
-    def abs_power_integral(self, p):
-        return _abs_power_integral(self, p)
 
 
 class CosProductFactor:
@@ -171,24 +98,6 @@ class CosProductFactor:
             else:
                 lo -= abs(a)
         return lo
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return CosProductFactor([(a * other, q) for a, q in self.terms])
-        if not isinstance(other, CosProductFactor):
-            return NotImplemented
-        terms = []
-        for a1, (p1, p2) in self.terms:
-            for a2, (q1, q2) in other.terms:
-                for s1 in ((p1 + q1,), (abs(p1 - q1),)):
-                    for s2 in ((p2 + q2,), (abs(p2 - q2),)):
-                        terms.append((0.25 * a1 * a2, (s1[0], s2[0])))
-        return CosProductFactor(terms)
-
-    __rmul__ = __mul__
-
-    def abs_power_integral(self, p):
-        return _abs_power_integral(self, p)
 
 
 def _abs_power_integral(factor, p):
@@ -244,11 +153,14 @@ class TestIntegrand:
     def omega_independent(self):
         return self.g.is_constant()
 
+    def _means(self):
+        """The means of |f|^p, |g|^p and |h|^p over their unit squares."""
+        return [_abs_power_integral(c, self.p) for c in (self.f, self.g, self.h)]
+
     def volume_reference(self):
         """Exact triple integral int |f|^p dx int |g|^p dmu int |h|^p dy."""
-        return (self.f.abs_power_integral(self.p)
-                * self.g.abs_power_integral(self.p)
-                * self.h.abs_power_integral(self.p))
+        f, g, h = self._means()
+        return f * g * h
 
     def surface_reference(self, interface_length):
         """Limit of the eps-scaled interface integral.
@@ -257,10 +169,8 @@ class TestIntegrand:
         |Gamma| times the cell mean int |h|^p dy; the fast factor
         equidistributes over the cell along the interface family.
         """
-        return (self.f.abs_power_integral(self.p)
-                * self.g.abs_power_integral(self.p)
-                * interface_length
-                * self.h.abs_power_integral(self.p))
+        f, g, h = self._means()
+        return f * g * interface_length * h
 
     def __repr__(self):
         return "TestIntegrand(%r, p=%g)" % (self.name, self.p)
@@ -303,8 +213,29 @@ class OscillationEstimate:
             self.eps, self.value, self.stderr, self.M)
 
 
-def _mc_samples(M, base_seed):
-    return [sample_omega(base_seed + i).omega for i in range(M)]
+def _monte_carlo(a, eps, M, base_seed, values, integrate):
+    """Mean and standard error of integrate(|a|^p) over the sample schedule.
+
+    values(w) gives a at the quadrature points for sample w as a fresh
+    array.  Samples are drawn with seeds base_seed, base_seed + 1, ...;
+    a sample-independent integrand takes one sample and a zero standard
+    error.
+    """
+    M_eff = 1 if a.omega_independent() else M
+    vals = np.empty(M_eff)
+    p = a.p
+    for i in range(M_eff):
+        prod = values(sample_omega(base_seed + i).omega)
+        if p == 1.0:
+            np.abs(prod, out=prod)
+        elif p == 2.0:
+            np.square(prod, out=prod)
+        else:
+            prod = np.abs(prod) ** p
+        vals[i] = integrate(prod)
+    value = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(M_eff)) if M_eff > 1 else 0.0
+    return OscillationEstimate(value, stderr, M_eff, eps)
 
 
 def volume_oscillation(a, eps, M=64, base_seed=0):
@@ -323,25 +254,15 @@ def volume_oscillation(a, eps, M=64, base_seed=0):
     y1 = np.mod(n * n * x1, 1.0)
     H = a.h.value_outer(y1, y1)
     FH = F * H
-    M_eff = 1 if a.omega_independent() else M
-    vals = np.empty(M_eff)
-    p = a.p
-    for i, w in enumerate(_mc_samples(M_eff, base_seed)):
+
+    def values(w):
         # g(w + u): each phase of g shifted by 2 pi k.w
         G = TrigFactor(a.g.const, [
             (amp, k, 2.0 * math.pi * (k[0] * w[0] + k[1] * w[1]) + ph)
             for amp, k, ph in a.g.terms]).value_outer(n * x1, n * x1)
-        prod = FH * G
-        if p == 1.0:
-            np.abs(prod, out=prod)
-        elif p == 2.0:
-            np.square(prod, out=prod)
-        else:
-            prod = np.abs(prod) ** p
-        vals[i] = prod.mean()
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(M_eff)) if M_eff > 1 else 0.0
-    return OscillationEstimate(value, stderr, M_eff, eps)
+        return FH * G
+
+    return _monte_carlo(a, eps, M, base_seed, values, np.mean)
 
 
 def surface_oscillation(a, mesh, eps, M=64, base_seed=0):
@@ -360,26 +281,11 @@ def surface_oscillation(a, mesh, eps, M=64, base_seed=0):
     pts, wts = edge_quadrature_points(mesh.vertices, mesh.interface_edges, 8)
     P = pts.reshape(-1, 2)
     w_q = wts.ravel()
-    F = a.f.value(P)
-    H = a.h.value(np.mod(n * n * P, 1.0))
-    FH = F * H
+    FH = a.f.value(P) * a.h.value(np.mod(n * n * P, 1.0))
     shift_arg = n * P  # T(x/eps) w = w + x/eps, cosines absorb the mod
-    M_eff = 1 if a.omega_independent() else M
-    vals = np.empty(M_eff)
-    p = a.p
-    for i, w in enumerate(_mc_samples(M_eff, base_seed)):
-        G = a.g.value(w[None, :] + shift_arg)
-        prod = FH * G
-        if p == 1.0:
-            np.abs(prod, out=prod)
-        elif p == 2.0:
-            np.square(prod, out=prod)
-        else:
-            prod = np.abs(prod) ** p
-        vals[i] = eps * float(w_q.dot(prod))
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(M_eff)) if M_eff > 1 else 0.0
-    return OscillationEstimate(value, stderr, M_eff, eps)
+    return _monte_carlo(a, eps, M, base_seed,
+                        lambda w: FH * a.g.value(w[None, :] + shift_arg),
+                        lambda prod: eps * float(w_q.dot(prod)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every public name, method and defaulted parameter of the package has a
-caller outside tests, and every public attribute it assigns a reader."""
+"""Every public name, method, operator method and defaulted parameter of
+the package has a caller outside tests, and every public attribute it
+assigns a reader."""
 
 import ast
 import glob
@@ -46,6 +47,17 @@ ALLOWED = {
     "eval_field_eps",
 }
 
+# the binary operators, by the stem of their methods: a * b can call
+# a.__mul__ and b.__rmul__, a *= b a.__imul__ too
+OPERATORS = {
+    ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.MatMult: "matmul",
+    ast.Div: "truediv", ast.FloorDiv: "floordiv", ast.Mod: "mod",
+    ast.Pow: "pow", ast.LShift: "lshift", ast.RShift: "rshift",
+    ast.BitOr: "or", ast.BitXor: "xor", ast.BitAnd: "and",
+}
+OPERATOR_METHODS = {form % stem for stem in OPERATORS.values()
+                    for form in ("__%s__", "__r%s__", "__i%s__")}
+
 
 def _sources():
     """(module, source, in package) of the package and of the benchmark,
@@ -77,7 +89,8 @@ class _Classes:
     a name every binding of which in the unit is ``x = Class(...)`` or
     ``x = module.Class(...)``, ``Class`` and ``module.Class`` to that
     class with its bases.  Any other receiver resolves to every class,
-    which is matching by name.
+    which is matching by name; any other operand of a binary operator to
+    none, as numbers and arrays make every operator common.
     """
 
     def __init__(self, bases):
@@ -126,21 +139,28 @@ class _Classes:
         return {name: set(classes) for name, classes in built.items()
                 if len(classes) == stores[name]}
 
-    def receiver(self, node, cls_name, bound):
-        """The classes whose methods an attribute of node can reach."""
+    def resolve(self, node, cls_name, bound):
+        """The classes whose methods node can reach, None if it does not
+        resolve."""
         if isinstance(node, ast.Name):
             if node.id in ("self", "cls") and cls_name in self.bases:
                 return self.family(cls_name)
             if node.id in bound:
                 return set().union(*map(self.lineage, bound[node.id]))
         named = self.named(node)
-        return self.lineage(named) if named else set(self.bases)
+        return self.lineage(named) if named else None
+
+    def receiver(self, node, cls_name, bound):
+        """The classes whose methods an attribute of node can reach."""
+        found = self.resolve(node, cls_name, bound)
+        return set(self.bases) if found is None else found
 
 
 def _uses(nodes, classes, cls_name):
     """(method uses, calls) of the statements.
 
-    Method uses are the (class, method) pairs the attributes can reach.
+    Method uses are the (class, method) pairs the attributes and the
+    operands of binary operators can reach.
     Calls are (callee name, call, classes): the callee is the called name
     or attribute, and classes, for an attribute, the classes its receiver
     resolves to (None for a bare name); ``cls(...)`` counts as a call of
@@ -153,6 +173,17 @@ def _uses(nodes, classes, cls_name):
             if isinstance(node, ast.Attribute):
                 uses |= {(c, node.attr) for c in classes.receiver(
                     node.value, cls_name, bound)}
+            if isinstance(node, ast.BinOp):
+                sides = [(node.left, "__%s__"), (node.right, "__r%s__")]
+            elif isinstance(node, ast.AugAssign):
+                sides = [(node.target, "__%s__"), (node.target, "__i%s__"),
+                         (node.value, "__r%s__")]
+            else:
+                sides = []
+            for operand, form in sides:
+                method = form % OPERATORS[type(node.op)]
+                uses |= {(c, method) for c in classes.resolve(
+                    operand, cls_name, bound) or ()}
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -255,6 +286,8 @@ def _scan(sources):
                 if item.name == "__init__" and public:
                     callables.append(_Callable(
                         "%s.%s" % (module, name), name, owner, item.args, 1))
+                elif item.name in OPERATOR_METHODS:
+                    methods[owner] = module
                 elif not item.name.startswith("_"):
                     methods[owner] = module
                     callables.append(_Callable(
@@ -308,9 +341,9 @@ def _dead(owner, orphans):
 
 
 def _orphans(definitions, methods, units, allowed):
-    """Public names no live unit uses, and public methods no live unit
-    reaches through an attribute, to fixpoint: a name used only inside
-    orphans is an orphan too."""
+    """Public names no live unit uses, and public and operator methods no
+    live unit reaches through an attribute or an operand, to fixpoint: a
+    name used only inside orphans is an orphan too."""
     orphans = set()
     while True:
         used, reached = set(), set()
@@ -443,6 +476,51 @@ main(None)
 ], ids=["self", "constructor", "unresolved"])
 def test_receiver_decides_which_method_is_reached(reach_a, body, flagged):
     source = TWO_CLASSES.format(reach_a=reach_a, body=body)
+    orphans, unpassed, _ = _findings(set(), [("demo", source, True)])
+    assert orphans == flagged
+    assert unpassed == []
+
+
+# two classes define __mul__; A.square and main multiply some of them
+OPERANDS = """
+class A:
+    def __mul__(self, other):
+        return A()
+
+    def square(self):
+        return {square}
+
+
+class B:
+    def __mul__(self, other):
+        return B()
+
+    def __rmul__(self, other):
+        return B()
+
+
+def main(x):
+{body}
+
+
+main(None)
+"""
+
+
+@pytest.mark.parametrize("square,body,flagged", [
+    # through self: A.square reaches A.__mul__ only
+    ("self * self", "    return A().square(), B()",
+     ["demo.B.__mul__", "demo.B.__rmul__"]),
+    # through a name bound by the constructor, on either side
+    ("0", "    b = B()\n    return A().square(), b * x, x * b",
+     ["demo.A.__mul__"]),
+    # operands that cannot be resolved reach no operator method
+    ("x * x", "    x *= x\n    return A().square(), B(), x * 2, 2 * x",
+     ["demo.A.__mul__", "demo.B.__mul__", "demo.B.__rmul__"]),
+], ids=["self", "constructor", "unresolved"])
+def test_operand_decides_which_operator_method_is_reached(square, body,
+                                                          flagged):
+    source = OPERANDS.format(square=square, body=body)
     orphans, unpassed, _ = _findings(set(), [("demo", source, True)])
     assert orphans == flagged
     assert unpassed == []

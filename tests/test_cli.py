@@ -273,6 +273,16 @@ def test_bad_config_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing",
+                                                              "directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, name):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["mesh", "--config", str(tmp_path / name),
+                 "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "config error: cannot read" in capsys.readouterr().err
+
+
 def test_unresolvable_sample_grid_exits_2(tmp_path, capsys):
     # the default fields carry a w-mode of frequency 1, which needs K >= 4
     path = tmp_path / "k2.json"

@@ -96,6 +96,14 @@ def test_invalid_json_rejected(tmp_path):
     # the sample torus's union-jack grid has an even side of at least 4
     {"K": 2},
     {"K": 33},
+    # malformed values are refused at load time, not when a run uses them
+    {"geometry": {"inclusion_center": [0.5]}},
+    {"fields": {"rho_f": {"base": 2.0, "y_modes": [[[1], 0.5]]}}},
+    {"initial": {"plus": {"kind": "cosine", "modes": [1]}}},
+    {"initial": {"plus": {"kind": "cosine", "modes": ["a", 1]}}},
+    {"initial": {"plus": {"kind": "gaussian", "center": [0.5]}}},
+    {"initial": {"minus": {"kind": "constant", "value": "x"}}},
+    {"eps_list": 3},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):

@@ -144,6 +144,32 @@ def test_field_averages():
     assert abs(np.mean(vals) - f.omega_average(y)) <= 3.0 * stderr
 
 
+def test_field_arithmetic_order_is_pinned():
+    # every value is (base + y-mode sum) + w-mode sum, each mode sum taken
+    # in the listed order, so the stage-1 memo keys (w_value) and the fine
+    # coefficients do not move by rounding
+    y_modes = [((1, 0), 0.3), ((2, -1), -0.2)]
+    w_modes = [((0, 1), 0.25), ((1, 3), 0.15)]
+    f = CoefficientField("f", 2.0, y_modes=y_modes, w_modes=w_modes)
+    rng = np.random.default_rng(17)
+    y = rng.random((300, 2)) * 3.0 - 1.0
+    w = rng.random((300, 2))
+
+    def mode_sum(modes, u):
+        (k, a), (l, b) = modes
+        return (a * np.cos(2.0 * math.pi * (k[0] * u[..., 0] + k[1] * u[..., 1]))
+                + b * np.cos(2.0 * math.pi * (l[0] * u[..., 0] + l[1] * u[..., 1])))
+
+    sum_y, sum_w = mode_sum(y_modes, y), mode_sum(w_modes, w)
+    assert np.array_equal(f.evaluate(w, y), (2.0 + sum_y) + sum_w)
+    assert np.array_equal(f.w_value(w), sum_w)
+    assert np.array_equal(f.omega_average(y), 2.0 + sum_y)
+    assert np.array_equal(f.y_average(w), 2.0 + sum_w)
+    # one sample point against many cell points, as the cell problems use it
+    assert np.array_equal(f.evaluate(w[7], y), (2.0 + sum_y) + sum_w[7])
+    assert f.w_value(w[7]) == sum_w[7]
+
+
 def test_ergodic_average_along_irrational_direction():
     # time average of a zero-mean observable along an irrational orbit
     g = CoefficientField("g", 1.0, w_modes=[[[1, 0], 0.5], [[1, 1], 0.25]])
