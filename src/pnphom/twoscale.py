@@ -24,7 +24,6 @@ estimators run one Monte Carlo loop over the fixed seed schedule and differ
 only in their quadrature.
 """
 
-import logging
 import math
 
 import numpy as np
@@ -32,8 +31,6 @@ import numpy as np
 from .fem import edge_quadrature_points
 from .geometry import tile_domain
 from .randomfield import TrigFactor, sample_omega
-
-log = logging.getLogger(__name__)
 
 
 def _eps_to_n(eps):

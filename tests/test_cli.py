@@ -273,8 +273,8 @@ def test_bad_config_exits_2(tmp_path):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing",
-                                                              "directory"])
+@pytest.mark.parametrize("name", ["missing.json", "."],
+                         ids=["missing", "directory"])
 def test_unreadable_config_exits_2(tmp_path, capsys, name):
     with pytest.raises(SystemExit) as err:
         run_cli(["mesh", "--config", str(tmp_path / name),
