@@ -22,6 +22,7 @@ The schema, with defaults in parentheses:
 import copy
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -104,11 +105,27 @@ def _check_int(value, path):
     return n
 
 
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_finite(value, path):
+    """Refuse NaN and the infinities anywhere in value, a config document
+    or a part of it: JSON text spells them NaN and Infinity."""
+    if isinstance(value, dict):
+        for key, val in value.items():
+            _check_finite(val, "%s.%s" % (path, key) if path else key)
+    elif isinstance(value, (list, tuple)):
+        for val in value:
+            _check_finite(val, "%s entry" % path)
+    elif _is_real(value) and not math.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (path, value))
+
+
 def _check_pair(value, path):
     """value, refused unless it is a pair of numbers."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
+            and all(_is_real(v) for v in value)):
         raise ConfigError("%s must be a pair of numbers, got %r"
                           % (path, value))
     return value
@@ -174,6 +191,7 @@ class ExperimentConfig:
 
     def __init__(self, data):
         self.data = data
+        _check_finite(data, "")
         self.eps_list = _check_eps_list(data["eps_list"], "eps_list")
         self.n_omega_samples = _check_int(data["n_omega_samples"],
                                           "n_omega_samples")
@@ -199,6 +217,14 @@ class ExperimentConfig:
         for section, key in (("pnp", "gummel_max"), ("pnp", "n_outputs"),
                              ("geometry", "n_interface_segments")):
             _check_int(data[section][key], "%s.%s" % (section, key))
+        # PnpParams would read a string "0.02" or "yes" through float/bool
+        for key, value in data["pnp"].items():
+            if key == "upwind" and not isinstance(value, bool):
+                raise ConfigError("pnp.upwind must be true or false, got %r"
+                                  % (value,))
+            if key != "upwind" and not _is_real(value):
+                raise ConfigError("pnp.%s must be a number, got %r"
+                                  % (key, value))
         # build eagerly so invalid sections fail at load time
         try:
             check_sample_grid(self.K)

@@ -104,6 +104,10 @@ class PnpParams:
         self.validate()
 
     def validate(self):
+        for name in ("D_plus", "D_minus", "z_plus", "z_minus", "c",
+                     "F_const", "dt", "t_final", "gummel_tol", "linear_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         for name in ("D_plus", "D_minus", "z_plus", "z_minus", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ValueError("%s must be positive" % name)

@@ -273,6 +273,17 @@ def test_bad_config_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"geometry": {"target_edge_length": NaN}}')
+    with pytest.raises(SystemExit) as err:
+        run_cli(["mesh", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert ("config error: geometry.target_edge_length must be finite"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("name", ["missing.json", "."],
                          ids=["missing", "directory"])
 def test_unreadable_config_exits_2(tmp_path, capsys, name):

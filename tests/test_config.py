@@ -55,6 +55,15 @@ def test_overrides_after_file(tmp_path):
     assert cfg.seed == 11
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_rejected(tmp_path, text):
+    # Python's json module reads these non-standard constants as floats
+    path = tmp_path / "cfg.json"
+    path.write_text('{"pnp": {"dt": %s}}' % text)
+    with pytest.raises(ConfigError, match="pnp.dt must be finite"):
+        load_config(str(path))
+
+
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -104,6 +113,15 @@ def test_invalid_json_rejected(tmp_path):
     {"initial": {"plus": {"kind": "gaussian", "center": [0.5]}}},
     {"initial": {"minus": {"kind": "constant", "value": "x"}}},
     {"eps_list": 3},
+    # non-finite values, and numbers spelled as strings or booleans
+    {"pnp": {"dt": float("nan")}},
+    {"pnp": {"dt": "0.02"}},
+    {"pnp": {"upwind": "yes"}},
+    {"pnp": {"D_plus": True}},
+    {"geometry": {"target_edge_length": float("nan")}},
+    {"fields": {"eta": {"base": float("inf")}}},
+    {"initial": {"minus": {"kind": "constant", "value": float("nan")}}},
+    {"eps_list": [2, float("inf")]},
 ])
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):

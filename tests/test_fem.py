@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from pnphom.config import load_config
 from pnphom.fem import (
     AssemblyError,
     ConvergenceFailure,
@@ -25,6 +27,8 @@ from pnphom.fem import (
     tri_gradient,
 )
 from pnphom.geometry import UnitCellSpec, build_template_cell, tile_domain
+from pnphom.micro import FineDomain, MicroProblem
+from pnphom.randomfield import sample_omega
 
 
 def reference_triangle():
@@ -495,6 +499,30 @@ def test_exact_preconditioner_takes_one_iteration(fluid_template):
     assert res.iterations == 1
     assert res.residual <= 1e-11
     assert np.linalg.norm(b - B @ res.x) / np.linalg.norm(b) == res.residual
+
+
+def test_splu_blocking_keeps_accuracy_and_fill():
+    # _splu's narrow panels change SuperLU's blocking only: on the tiled
+    # n = 2 species matrix and one sample's Poisson matrix of the default
+    # template, the solves stay accurate, agree with scipy's default
+    # blocking and take no more fill
+    cfg = load_config()
+    domain = FineDomain(tile_domain(build_template_cell(cfg.geometry), 2),
+                        cfg.pnp)
+    problem = MicroProblem(domain, cfg.pnp, cfg.fields, sample_omega(1).omega)
+    species = sp.diags(domain.mass_vec) / cfg.pnp.dt + domain.A_fluid
+    poisson = problem.A_theta + sp.diags(
+        problem.eps * cfg.fields.gamma.alpha * problem.surface_w)
+    rng = np.random.default_rng(7)
+    for A, b in ((species, rng.standard_normal((species.shape[0], 2))),
+                 (poisson, rng.standard_normal(poisson.shape[0]))):
+        lu = _splu(A)
+        default = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+        x, x_default = lu.solve(b), default.solve(b)
+        assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
+        assert (np.linalg.norm(x - x_default)
+                <= 1e-12 * np.linalg.norm(x_default))
+        assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
 
 
 def test_cg_determinism(fluid_template):

@@ -123,6 +123,11 @@ def test_params_validation():
     assert PnpParams(dt=0.05, t_final=0.0).n_steps() == 0
     with pytest.raises(ValueError):
         PnpParams(dt=0.03, t_final=0.2).n_steps()
+    # NaN passes every comparison test, so finiteness is checked first
+    for bad in ({"dt": float("nan")}, {"t_final": float("inf")},
+                {"gummel_tol": float("nan")}, {"c": float("nan")}):
+        with pytest.raises(ValueError, match="finite"):
+            PnpParams(**bad)
 
 
 @pytest.mark.parametrize("n_outputs", [0, -2])
@@ -521,12 +526,14 @@ def test_species_lu_shared_when_diffusivities_agree(coarse_mesh, monkeypatch,
 def test_every_lu_orders_by_minimum_degree(coarse_mesh, square_mesh,
                                           monkeypatch):
     # every matrix factored is symmetric: each splu call asks for minimum
-    # degree on A + A^T, in the fine, limit and cell-problem set-ups
+    # degree on A + A^T, and for _splu's narrow panels, in the fine, limit
+    # and cell-problem set-ups
     specs = []
     splu = spla.splu
 
     def recording_splu(*args, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
+        specs.append(tuple(kwargs.get(key) for key in
+                           ("permc_spec", "relax", "panel_size")))
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
@@ -547,7 +554,7 @@ def test_every_lu_orders_by_minimum_degree(coarse_mesh, square_mesh,
     eff = compute_effective(build_template_cell(spec), wiggly_fields(), K=4)
     assert eff.provenance["dielectric_mode"] == "general"
     assert len(specs) > 8
-    assert set(specs) == {"MMD_AT_PLUS_A"}
+    assert set(specs) == {("MMD_AT_PLUS_A", 1, 1)}
 
 
 def test_run_zero_horizon(coarse_mesh):
